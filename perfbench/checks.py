@@ -33,11 +33,23 @@ TRIANGLE_SLOTS = ("atom.Lp", "amalgam.Lp", "amalgam.FLp", "M")
 def check(wl, outputs_by_pass: list) -> list:
     """All checks of one workload; ``outputs_by_pass`` holds, per pass, a
     dict from op name to the op's output (or the exception it raised)."""
+    problems = check_failures(outputs_by_pass)
     if isinstance(wl, workloads.VerifyWorkload):
-        return check_verify(wl, outputs_by_pass)
+        return problems + check_verify(wl, outputs_by_pass)
     if isinstance(wl, workloads.IdentifyWorkload):
-        return check_identify(outputs_by_pass)
-    return check_norm_eval(wl, outputs_by_pass)
+        return problems + check_identify(outputs_by_pass)
+    return problems + check_norm_eval(wl, outputs_by_pass)
+
+
+def check_failures(outputs_by_pass: list) -> list:
+    """Only the ``flinf:*`` ops may raise: any other op that raised on some
+    pass would otherwise drop out of the checks unnoticed."""
+    problems = []
+    for j, outputs in enumerate(outputs_by_pass):
+        for name, out in outputs.items():
+            if isinstance(out, Exception) and not name.startswith(workloads.FLINF_PREFIX):
+                problems.append(f"{name}: raised on pass {j}: {type(out).__name__}: {out}")
+    return problems
 
 
 def _succeeded(outputs_by_pass: list, name: str) -> list:
@@ -152,10 +164,10 @@ def check_identify(outputs_by_pass: list) -> list:
         for name, out in outputs.items():
             if isinstance(out, Exception):
                 continue
-            if name.startswith(("expr", "flinf")):
+            if name.startswith(("expr", workloads.FLINF_PREFIX)):
                 problems += check_expression(name, out)
-            elif name.startswith("includes.step") and not out[2].established:
-                problems.append(f"{name}: one-step embedding {out[0]} into {out[1]} not established")
+            elif name.startswith(("includes.step", "includes.chain")) and not out[2].established:
+                problems.append(f"{name}: embedding {out[0]} into {out[1]} not established")
             elif name == "includes.false" and out[2].established:
                 problems.append(f"{name}: {out[0]} into {out[1]} is false on R but was established")
     return problems

@@ -1,10 +1,9 @@
 """Run the benchmark over several seeds and print the README tables.
 
-    python3 perfbench/report.py                       # 10 seeds x 4 workloads + traced runs
-    python3 perfbench/report.py --runs 5 --workloads identify
+    python3 perfbench/report.py
 
-Runs ``run.py`` once per (workload, seed), one process at a time, with the
-run length from BENCHMARK.json. For every end-to-end metric it prints the
+Runs ``run.py`` once per (workload, seed) for seeds 1-10 and every workload
+of BENCHMARK.json, one process at a time, with its run length. For every end-to-end metric it prints the
 median, the quartiles (``statistics.quantiles(n=4)``) and the spread
 (Q3 - Q1) / median next to the metric's bound. Then it makes one traced run
 per workload and prints every per-layer metric and the tracing overhead.
@@ -13,7 +12,6 @@ Every run's result is also written to ``perfbench/out/report.json``.
 
 from __future__ import annotations
 
-import argparse
 import json
 import statistics
 import subprocess
@@ -22,6 +20,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
+SEEDS = range(1, 11)
 
 
 def run_once(workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -57,42 +56,32 @@ def layer_table(bench: dict, traced: dict) -> list:
     return out
 
 
-def main(argv=None) -> int:
+def main() -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    all_workloads = [w["name"] for w in bench["workloads"]]
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--runs", type=int, default=10)
-    ap.add_argument("--first-seed", type=int, default=1)
-    ap.add_argument("--workloads", nargs="+", default=all_workloads, choices=all_workloads)
-    ap.add_argument("--no-trace", action="store_true", help="skip the traced runs")
-    args = ap.parse_args(argv)
-
+    names = [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
-    seeds = range(args.first_seed, args.first_seed + args.runs)
     runs, traced, facts = {}, {}, {}
-    for w in args.workloads:
+    for w in names:
         runs[w] = []
-        for seed in seeds:
+        for seed in SEEDS:
             r = run_once(w, seed, seconds, 0)
             print(f"{w} seed {seed}: correct={r['correct']} attempted={r['attempted']} "
                   f"failed={r['failed']} " + " ".join(
                       f"{k}={v['value']:.4g}" for k, v in r["metrics"].items()), flush=True)
             runs[w].append(r)
         facts[w] = runs[w][0]["summary"]
-    if not args.no_trace:
-        for w in args.workloads:
-            traced[w] = run_once(w, args.first_seed, seconds, 1)
-            print(f"{w} traced: overhead {traced[w]['metrics']['trace.overhead_s']['value']:.3f} s", flush=True)
+    for w in names:
+        traced[w] = run_once(w, SEEDS[0], seconds, 1)
+        print(f"{w} traced: overhead {traced[w]['metrics']['trace.overhead_s']['value']:.3f} s", flush=True)
 
     print()
-    for w in args.workloads:
+    for w in names:
         shares = {r["failed"] / r["attempted"] for r in runs[w]}
         print(f"- {w}: {facts[w]}; failed/attempted = {sorted(shares)}")
     print()
     print("\n".join(spread_table(bench, runs)))
-    if traced:
-        print()
-        print("\n".join(layer_table(bench, traced)))
+    print()
+    print("\n".join(layer_table(bench, traced)))
     (HERE / "out").mkdir(exist_ok=True)
     (HERE / "out" / "report.json").write_text(json.dumps({"runs": runs, "traced": traced}, indent=1) + "\n")
     return 0 if all(r["correct"] for rs in runs.values() for r in rs) else 1

@@ -8,10 +8,11 @@ workload's ops in passes until ``--seconds`` have elapsed (at least
 checks the outputs and prints, as its last line, one JSON object with
 ``correct``, ``attempted``, ``failed`` and ``metrics``.
 
-With ``--trace 0`` the metrics are the end-to-end ones (``setup_s``,
-``pass_s``, ``op_p50_ms``, ``op_max_ms``, ``peak_rss_mb``). With
-``--trace 1`` untraced and traced passes alternate and the metrics are the
-per-layer ones from :mod:`tracing`, plus ``trace.overhead_s``.
+With ``--trace 0`` the metrics are the ``end_to_end`` ones of
+``BENCHMARK.json`` (``setup_s``, ``pass_s``, ``op_p50_ms``, ``op_max_ms``,
+``peak_rss_mb``). With ``--trace 1`` untraced and traced passes alternate and
+the metrics are its ``per_layer`` ones, recorded by :mod:`tracing`, with
+``trace.overhead_s``. Names and units are read from ``BENCHMARK.json``.
 
 Numeric-library threads are capped at the number of usable cores. The
 package is imported from ``src/`` next to this directory; without it the run
@@ -64,15 +65,21 @@ def op_latencies(times_by_op: dict) -> dict:
 
 
 def end_to_end(setup_times: list, pass_times: list, latencies: dict, peak_rss_mb: float) -> dict:
-    """The five end-to-end metrics from one untraced run."""
-    ms = sorted(latencies.values())
+    """The five end-to-end values from one untraced run, by metric name."""
+    ms = latencies.values()
     return {
-        "setup_s": {"value": median(setup_times), "unit": "s"},
-        "pass_s": {"value": median(pass_times), "unit": "s"},
-        "op_p50_ms": {"value": median(ms) * 1e3, "unit": "ms"},
-        "op_max_ms": {"value": max(ms) * 1e3, "unit": "ms"},
-        "peak_rss_mb": {"value": peak_rss_mb, "unit": "MB"},
+        "setup_s": median(setup_times),
+        "pass_s": median(pass_times),
+        "op_p50_ms": median(ms) * 1e3,
+        "op_max_ms": max(ms) * 1e3,
+        "peak_rss_mb": peak_rss_mb,
     }
+
+
+def with_units(values: dict, metrics: list) -> dict:
+    """``{name: {"value", "unit"}}`` for every metric that BENCHMARK.json
+    lists; a listed metric without a value raises ``KeyError``."""
+    return {m["name"]: {"value": values[m["name"]], "unit": m["unit"]} for m in metrics}
 
 
 def cap_threads() -> int:
@@ -194,14 +201,16 @@ def main(argv=None) -> int:
 
     problems = checks.check(wl, outputs_by_pass)
     latencies = op_latencies(times_by_op)
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     if tracer is not None:
-        metrics = tracing.layer_metrics(layer_passes)
-        metrics["trace.overhead_s"] = {
-            "value": median(traced_pass_times) - median(pass_times), "unit": "s"}
+        values = tracing.layer_metrics(layer_passes)
+        values["trace.overhead_s"] = median(traced_pass_times) - median(pass_times)
+        metrics = with_units(values, bench["per_layer"])
         tracer.save(OUT / f"trace-{args.workload}.npz")
     else:
         rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-        metrics = end_to_end(setup_times, pass_times, latencies, rss_mb)
+        values = end_to_end(setup_times, pass_times, latencies, rss_mb)
+        metrics = with_units(values, bench["end_to_end"])
 
     for p in problems:
         print(f"check failed: {p}", file=sys.stderr)

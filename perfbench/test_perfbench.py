@@ -77,11 +77,25 @@ def test_op_latencies_and_end_to_end():
     lat = run.op_latencies(times)
     assert lat == {"a": 0.002, "c": 0.015}
     m = run.end_to_end([0.3, 0.1, 0.2], [2.0, 1.0, 5.0], lat, 100.0)
-    assert m["setup_s"]["value"] == 0.2
-    assert m["pass_s"]["value"] == 2.0
-    assert m["op_p50_ms"]["value"] == pytest.approx(8.5)
-    assert m["op_max_ms"]["value"] == pytest.approx(15.0)
-    assert m["peak_rss_mb"] == {"value": 100.0, "unit": "MB"}
+    assert m["setup_s"] == 0.2
+    assert m["pass_s"] == 2.0
+    assert m["op_p50_ms"] == pytest.approx(8.5)
+    assert m["op_max_ms"] == pytest.approx(15.0)
+    assert m["peak_rss_mb"] == 100.0
+
+
+def test_every_benchmark_metric_gets_its_unit():
+    bench = json.loads((Path(run.__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
+    values = run.end_to_end([0.3], [2.0], {"a": 0.002}, 100.0)
+    assert run.with_units(values, bench["end_to_end"])["peak_rss_mb"] == {"value": 100.0, "unit": "MB"}
+    with pytest.raises(KeyError):
+        run.with_units({}, bench["per_layer"])
+
+
+def test_only_flinf_ops_may_raise():
+    ok = {"flinf:FLinf": OverflowError("cannot render"), "expr[000]": ("text",)}
+    assert checks.check_failures([ok, ok]) == []
+    assert checks.check_failures([ok, dict(ok, **{"expr[000]": ValueError("x")})])
 
 
 # -- verify checks ---------------------------------------------------------
@@ -159,6 +173,7 @@ def test_inclusion_checks():
     yes, no = InclusionResult("established"), InclusionResult("no-evidence")
     assert checks.check_identify([{"includes.step[00]": ("a", "b", yes), "includes.false": ("c", "d", no)}]) == []
     assert checks.check_identify([{"includes.step[00]": ("a", "b", no)}])
+    assert checks.check_identify([{"includes.chain[0]": ("a", "b", no)}])
     assert checks.check_identify([{"includes.false": ("c", "d", yes)}])
 
 

@@ -52,67 +52,6 @@ COUNTERS = {
     "grid.functions": ("tfnorm.grid", "SampledFunction.__init__"),
 }
 
-COUNT = "count"
-SECONDS = "s"
-BYTES = "bytes"
-RATIO = "ratio"
-
-#: every per-layer metric: name -> (unit, better)
-METRICS = {
-    "tensor.dual_samples.count": (COUNT, "lower"),
-    "tensor.dual_samples.self_s": (SECONDS, "lower"),
-    "tensor.eps.pairings": (COUNT, "lower"),
-    "tensor.eps.self_s": (SECONDS, "lower"),
-    "tensor.decompose.calls": (COUNT, "lower"),
-    "tensor.decompose.terms": (COUNT, "lower"),
-    "tensor.decompose.self_s": (SECONDS, "lower"),
-    "tensor.pi.calls": (COUNT, "lower"),
-    "tensor.pi.self_s": (SECONDS, "lower"),
-    "norms.amalgam.calls": (COUNT, "lower"),
-    "norms.amalgam.self_s": (SECONDS, "lower"),
-    "norms.amalgam_cont.calls": (COUNT, "lower"),
-    "norms.amalgam_cont.self_s": (SECONDS, "lower"),
-    "norms.local.calls": (COUNT, "lower"),
-    "norms.local.self_s": (SECONDS, "lower"),
-    "norms.lp.calls": (COUNT, "lower"),
-    "norms.lp.self_s": (SECONDS, "lower"),
-    "norms.mixed.calls": (COUNT, "lower"),
-    "norms.mixed.self_s": (SECONDS, "lower"),
-    "bupu.partitions": (COUNT, "lower"),
-    "bupu.partitions.self_s": (SECONDS, "lower"),
-    "bupu.window.calls": (COUNT, "lower"),
-    "grid.functions": (COUNT, "lower"),
-    "grid.bytes_copied": (BYTES, "lower"),
-    "grid.pair.calls": (COUNT, "lower"),
-    "grid.pair.self_s": (SECONDS, "lower"),
-    "transforms.fourier.calls": (COUNT, "lower"),
-    "transforms.fourier.self_s": (SECONDS, "lower"),
-    "transforms.convolve.calls": (COUNT, "lower"),
-    "transforms.convolve.self_s": (SECONDS, "lower"),
-    "stft.stft.calls": (COUNT, "lower"),
-    "stft.stft.self_s": (SECONDS, "lower"),
-    "stft.adjoint.calls": (COUNT, "lower"),
-    "stft.adjoint.self_s": (SECONDS, "lower"),
-    "stft.tf_bytes": (BYTES, "lower"),
-    "family.builds": (COUNT, "lower"),
-    "family.self_s": (SECONDS, "lower"),
-    "harness.suite.self_s": (SECONDS, "lower"),
-    "identify.parse.calls": (COUNT, "lower"),
-    "identify.parse.self_s": (SECONDS, "lower"),
-    "identify.normalize.calls": (COUNT, "lower"),
-    "identify.normalize.steps": (COUNT, "lower"),
-    "identify.normalize.self_s": (SECONDS, "lower"),
-    "identify.normalize.repeat_ratio": (RATIO, "lower"),
-    "identify.includes.calls": (COUNT, "lower"),
-    "identify.includes.no_evidence": (COUNT, "lower"),
-    "identify.includes.self_s": (SECONDS, "lower"),
-    "identify.render.calls": (COUNT, "lower"),
-    "identify.render.self_s": (SECONDS, "lower"),
-    "evaluate.eval.calls": (COUNT, "lower"),
-    "evaluate.eval.self_s": (SECONDS, "lower"),
-    "trace.overhead_s": (SECONDS, "lower"),
-}
-
 #: metrics whose name is not "<layer>.calls"
 _CALLS_ALIASES = {"family.calls": "family.builds", "bupu.partitions.calls": "bupu.partitions"}
 
@@ -135,12 +74,14 @@ class Tracer:
         self._layers = array("i")
         self._parents = array("i")
         self._stack = []  # [span index, layer index, child seconds]
-        self._seen_normalize = set()
         self.begin_pass()
 
     # -- recording ---------------------------------------------------------
 
     def begin_pass(self):
+        # repeats are counted within one pass, so the ratio does not depend
+        # on how many traced passes fit into the run
+        self._seen_normalize = set()
         self.calls = [0] * len(self.layer_names)
         self.self_s = [0.0] * len(self.layer_names)
         self.counts = dict.fromkeys(
@@ -256,7 +197,7 @@ class Tracer:
     # -- results -----------------------------------------------------------
 
     def end_pass(self) -> dict:
-        """Per-layer metrics of the pass just recorded."""
+        """Per-layer values of the pass just recorded, by metric name."""
         out = {}
         for i, name in enumerate(self.layer_names):
             calls = name + ".calls"
@@ -267,7 +208,7 @@ class Tracer:
         out.update(counts)
         normalize_calls = out["identify.normalize.calls"]
         out["identify.normalize.repeat_ratio"] = repeats / normalize_calls if normalize_calls else 0.0
-        return {k: v for k, v in out.items() if k in METRICS}
+        return out
 
     def save(self, path: Path):
         """Write the spans (start, end, layer, parent) for offline analysis."""
@@ -280,9 +221,5 @@ class Tracer:
 
 
 def layer_metrics(passes: list) -> dict:
-    """Median over traced passes of every per-layer metric."""
-    names = [n for n in METRICS if n != "trace.overhead_s"]
-    return {
-        n: {"value": float(np.median([p[n] for p in passes])), "unit": METRICS[n][0]}
-        for n in names
-    }
+    """Median over traced passes of every per-layer value."""
+    return {n: float(np.median([p[n] for p in passes])) for n in passes[0]}

@@ -30,6 +30,7 @@ GRID_HALF = (16.0, 512)
 
 #: the parse -> normalize -> render ops that fail through ``render`` today
 FLINF_OPS = ("FLinf", "FLinf[1]", "W(FLinf, l1)")
+FLINF_PREFIX = "flinf:"
 
 
 def suite_seed(seed: int, offset: int = 0) -> int:
@@ -204,6 +205,14 @@ def embedding_pair(shape, par) -> tuple:
     return context.format(a), context.format(b)
 
 
+def embedding_chain(shape, par) -> tuple:
+    """(a, b) with b four embedding steps from a: W(A, l1) -> A twice and
+    opi -> oeps twice, for three irreducible atoms A, B, C. ``includes``
+    needs several hundred nodes of its search to find the chain."""
+    A, B, C = (_irreducible(shape, par, 0) for _ in range(3))
+    return f"(W({A}, l1) opi (W({B}, l1) opi {C}))", f"({A} oeps ({B} oeps {C}))"
+
+
 def _expression_op(text: str):
     def run():
         expr = identify.parse_space(text)
@@ -227,11 +236,18 @@ class IdentifyWorkload:
     exponents and weights come from (seed, pass, slot). No top-level input
     repeats within a run, so a cache of ``normalize`` results can only be
     hit from inside ``includes``.
+
+    The expressions take well under a millisecond each. They run in
+    ``CHAINS + 1`` blocks with one chain query (about 0.6 s) between two
+    blocks, so each pass times them at several moments instead of within a
+    few milliseconds: the machine's speed changes from second to second,
+    and ops timed all at once would share one speed.
     """
 
     name = "identify"
     EXPRESSIONS = 120
     EMBEDDINGS = 12
+    CHAINS = 4
 
     def __init__(self, seed: int):
         self.seed = int(seed)
@@ -259,17 +275,22 @@ class IdentifyWorkload:
 
     def _make_ops(self, pass_index: int) -> list:
         ops = []
+        block = -(-self.EXPRESSIONS // (self.CHAINS + 1))
         for i in range(self.EXPRESSIONS):
             depth = 1 + i % 3
             text = self._fresh(lambda s, p: random_expression(s, p, depth), i, pass_index)
             ops.append((f"expr[{i:03d}]", _expression_op(text)))
+            k = i // block
+            if i % block == block - 1 and k < self.CHAINS:
+                a, b = self._fresh(embedding_chain, 2000 + k, pass_index)
+                ops.append((f"includes.chain[{k}]", _includes_op(a, b)))
         for i in range(self.EMBEDDINGS):
             a, b = self._fresh(embedding_pair, 1000 + i, pass_index)
             ops.append((f"includes.step[{i:02d}]", _includes_op(a, b)))
         p, q = self._false_pairs[pass_index % len(self._false_pairs)]
         ops.append(("includes.false", _includes_op(f"L{p}", f"L{q}")))
         for text in FLINF_OPS:
-            ops.append((f"flinf:{text}", _expression_op(text)))
+            ops.append((FLINF_PREFIX + text, _expression_op(text)))
         return ops
 
 
