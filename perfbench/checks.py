@@ -19,10 +19,9 @@ import workloads
 AMALGAM_RTOL = 1e-10
 NORM_RTOL = 1e-12
 
-#: suite whose rows hold an amalgam norm of ``gauss_a1`` on every grid the
-#: workload runs: lemma3.3 measures W(L2, l1), rem6.2 measures W(FL2, l1),
-#: which equals W(L2, l1) by Plancherel
-AMALGAM_SUITES = {"verify-tensor": "lemma3.3", "verify-tf": "rem6.2"}
+#: suite whose rows hold the W(L2, l1) norm of ``gauss_a1`` on every grid
+#: the verify workload runs
+AMALGAM_SUITE = "lemma3.3"
 AMALGAM_MEMBER = "gauss_a1"
 
 #: norm-eval slots checked for homogeneity and for the triangle inequality
@@ -61,7 +60,7 @@ def _rel(a: float, b: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# verify workloads
+# verify workload
 
 
 def check_report(name: str, report: dict) -> list:
@@ -133,7 +132,7 @@ def check_verify(wl, outputs_by_pass: list) -> list:
         if not blobs:
             continue
         problems += check_report_bytes(name, blobs)
-        if suite == AMALGAM_SUITES[wl.name] and grid not in recomputed:
+        if suite == AMALGAM_SUITE and grid not in recomputed:
             recomputed.add(grid)
             problems += check_amalgam_row(name, json.loads(blobs[0]), plain_amalgam_l2_l1(*grid))
     return problems

@@ -1,12 +1,13 @@
 """tfnorm benchmark: one workload, one process, one caller in a closed loop.
 
-    python3 perfbench/run.py --workload verify-tensor --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload verify-tensor --seed 1 --seconds 36 --trace 0
 
 The run builds the workload's inputs from ``--seed``, then executes the
-workload's ops in passes until ``--seconds`` have elapsed (at least
-``MIN_PASSES`` passes), timing every op on every pass. After the passes it
-checks the outputs and prints, as its last line, one JSON object with
-``correct``, ``attempted``, ``failed`` and ``metrics``.
+workload's ops in whole passes for about ``--seconds`` (it ends at the pass
+end nearest to that time, after at least ``MIN_PASSES`` passes), timing
+every op on every pass. After the passes it checks the outputs and prints,
+as its last line, one JSON object with ``correct``, ``attempted``,
+``failed`` and ``metrics``.
 
 With ``--trace 0`` the metrics are the ``end_to_end`` ones of
 ``BENCHMARK.json`` (``setup_s``, ``pass_s``, ``op_p50_ms``, ``op_max_ms``,
@@ -122,6 +123,12 @@ def probe_setup(workload: str, seed: int) -> float:
     return elapsed
 
 
+def stop_now(elapsed: float, passes: int, seconds: float) -> bool:
+    """Stop at the end of the pass nearest to ``seconds``: another pass of
+    the mean length so far would end further past it than now falls short."""
+    return elapsed + 0.5 * elapsed / passes >= seconds
+
+
 def run_pass(ops: list) -> tuple:
     """Time every op once; returns (pass seconds, {op: seconds or None}, {op: output})."""
     times, outputs = {}, {}
@@ -143,7 +150,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=20.0)
+    ap.add_argument("--seconds", type=float, default=36.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--probe-setup", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
@@ -196,7 +203,7 @@ def main(argv=None) -> int:
         outputs_by_pass.append(outputs)
         j += 1
         enough = MIN_TRACE_PASSES if tracer is not None else MIN_PASSES
-        if j >= enough and time.perf_counter() - t_start >= args.seconds:
+        if j >= enough and stop_now(time.perf_counter() - t_start, j, args.seconds):
             break
 
     problems = checks.check(wl, outputs_by_pass)

@@ -35,9 +35,9 @@ def _cheap_identify_outputs(wl, pass_index):
 
 
 def test_verify_inputs_deterministic():
-    for build in (workloads.verify_tensor_specs, workloads.verify_tf_specs):
-        assert build(5) == build(5)
-        assert build(5) != build(6)
+    build = workloads.verify_tensor_specs
+    assert build(5) == build(5)
+    assert build(5) != build(6)
 
 
 def test_identify_inputs_deterministic():
@@ -63,6 +63,12 @@ def test_norm_eval_inputs_deterministic():
 
 
 # -- reducers --------------------------------------------------------------
+
+
+def test_stop_at_the_nearest_pass_end():
+    assert not run.stop_now(30.0, 3, 36.0)  # the next pass ends at 40, 4 past
+    assert run.stop_now(33.0, 3, 36.0)  # the next pass would end 8 past
+    assert run.stop_now(36.5, 1, 36.0)
 
 
 def test_median():

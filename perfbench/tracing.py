@@ -36,7 +36,6 @@ LAYERS = {
     "transforms.fourier": [("tfnorm.transforms", "fourier"), ("tfnorm.transforms", "inverse_fourier")],
     "transforms.convolve": [("tfnorm.transforms", "convolve")],
     "stft.stft": [("tfnorm.stft", "stft")],
-    "stft.adjoint": [("tfnorm.stft", "adjoint_stft")],
     "family": [("tfnorm.family", "test_family")],
     "harness.suite": [("tfnorm.harness", "run_verification")],
     "identify.parse": [("tfnorm.identify.parser", "parse_space")],

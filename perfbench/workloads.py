@@ -21,12 +21,11 @@ import tfnorm.identify as identify
 from tfnorm.family import random_smooth, test_family
 from tfnorm.grid import GridSpec
 
-WORKLOADS = ("verify-tensor", "verify-tf", "identify", "norm-eval")
+WORKLOADS = ("verify-tensor", "identify", "norm-eval")
 
-#: the two self-dual grids (N = 4 L^2) and the default grid at half resolution
+#: the two self-dual grids (N = 4 L^2)
 GRID_DEFAULT = (16.0, 1024)
 GRID_SMALL = (8.0, 256)
-GRID_HALF = (16.0, 512)
 
 #: the parse -> normalize -> render ops that fail through ``render`` today
 FLINF_OPS = ("FLinf", "FLinf[1]", "W(FLinf, l1)")
@@ -39,7 +38,7 @@ def suite_seed(seed: int, offset: int = 0) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify workloads
+# verify workload
 
 
 def _verify_op(suite: str, grid: tuple, seed: int, **extra):
@@ -72,14 +71,6 @@ def verify_tensor_specs(seed: int) -> list:
         specs += [("thm4.2", grid, 0, {}), ("cor6.1a", grid, 0, {})]
     # more default-grid lemma3.3 seeds: ops of one cost around the median op
     specs += [("lemma3.3", GRID_DEFAULT, sd, {}) for sd in (b, c)]
-    return specs
-
-
-def verify_tf_specs(seed: int) -> list:
-    a, b = suite_seed(seed, 0), suite_seed(seed, 1)
-    tf = ("stft.inversion", "cor6.7", "rem6.2", "lemma3.4", "lemma2.1", "bupu")
-    specs = [(s, GRID_DEFAULT, a, {}) for s in tf + ("identify.golden",)]
-    specs += [(s, GRID_HALF, b, {}) for s in tf]
     return specs
 
 
@@ -206,11 +197,11 @@ def embedding_pair(shape, par) -> tuple:
 
 
 def embedding_chain(shape, par) -> tuple:
-    """(a, b) with b four embedding steps from a: W(A, l1) -> A twice and
-    opi -> oeps twice, for three irreducible atoms A, B, C. ``includes``
-    needs several hundred nodes of its search to find the chain."""
+    """(a, b) with b three embedding steps from a: W(A, l1) -> A twice and
+    the inner opi -> oeps, for three irreducible atoms A, B, C. ``includes``
+    needs a few hundred nodes of its search to find the chain."""
     A, B, C = (_irreducible(shape, par, 0) for _ in range(3))
-    return f"(W({A}, l1) opi (W({B}, l1) opi {C}))", f"({A} oeps ({B} oeps {C}))"
+    return f"(W({A}, l1) opi (W({B}, l1) opi {C}))", f"({A} opi ({B} oeps {C}))"
 
 
 def _expression_op(text: str):
@@ -238,16 +229,17 @@ class IdentifyWorkload:
     hit from inside ``includes``.
 
     The expressions take well under a millisecond each. They run in
-    ``CHAINS + 1`` blocks with one chain query (about 0.6 s) between two
-    blocks, so each pass times them at several moments instead of within a
-    few milliseconds: the machine's speed changes from second to second,
-    and ops timed all at once would share one speed.
+    ``CHAINS + 2`` blocks separated by the long queries (the chain queries,
+    about 0.3 s each, with the budget-exhausting false query, about 5 s, in
+    the middle), so each pass times them at many moments instead of within
+    a few milliseconds: the machine's speed changes from one fraction of a
+    second to the next, and ops timed all at once would share one speed.
     """
 
     name = "identify"
     EXPRESSIONS = 120
     EMBEDDINGS = 12
-    CHAINS = 4
+    CHAINS = 8
 
     def __init__(self, seed: int):
         self.seed = int(seed)
@@ -274,21 +266,23 @@ class IdentifyWorkload:
         return self._passes[pass_index]
 
     def _make_ops(self, pass_index: int) -> list:
+        long_ops = []
+        for k in range(self.CHAINS):
+            a, b = self._fresh(embedding_chain, 2000 + k, pass_index)
+            long_ops.append((f"includes.chain[{k}]", _includes_op(a, b)))
+        p, q = self._false_pairs[pass_index % len(self._false_pairs)]
+        long_ops.insert(len(long_ops) // 2, ("includes.false", _includes_op(f"L{p}", f"L{q}")))
+        block = -(-self.EXPRESSIONS // (len(long_ops) + 1))
         ops = []
-        block = -(-self.EXPRESSIONS // (self.CHAINS + 1))
         for i in range(self.EXPRESSIONS):
             depth = 1 + i % 3
             text = self._fresh(lambda s, p: random_expression(s, p, depth), i, pass_index)
             ops.append((f"expr[{i:03d}]", _expression_op(text)))
-            k = i // block
-            if i % block == block - 1 and k < self.CHAINS:
-                a, b = self._fresh(embedding_chain, 2000 + k, pass_index)
-                ops.append((f"includes.chain[{k}]", _includes_op(a, b)))
+            if i % block == block - 1 and long_ops:
+                ops.append(long_ops.pop(0))
         for i in range(self.EMBEDDINGS):
             a, b = self._fresh(embedding_pair, 1000 + i, pass_index)
             ops.append((f"includes.step[{i:02d}]", _includes_op(a, b)))
-        p, q = self._false_pairs[pass_index % len(self._false_pairs)]
-        ops.append(("includes.false", _includes_op(f"L{p}", f"L{q}")))
         for text in FLINF_OPS:
             ops.append((FLINF_PREFIX + text, _expression_op(text)))
         return ops
@@ -384,8 +378,6 @@ def build(name: str, seed: int):
     """The workload's inputs; everything the first op needs is made here."""
     if name == "verify-tensor":
         return VerifyWorkload(name, verify_tensor_specs(seed))
-    if name == "verify-tf":
-        return VerifyWorkload(name, verify_tf_specs(seed))
     if name == "identify":
         return IdentifyWorkload(seed)
     if name == "norm-eval":
