@@ -5,10 +5,15 @@ of its integer translates; the quotient is smooth, supported exactly in
 (-1, 1)^d, takes values in [0, 1], and its translates sum to 1 at every
 interior grid point by construction. The lattice is Z^d intersected with
 [-K, K]^d for K = ceil(L) + 1, beyond which every window misses the domain.
+
+Amalgam norms do not depend on the partition up to equivalence, so the
+package measures every function with the one canonical partition of its own
+grid: ``make_integer_bupu(f.grid)``, built once per grid and cached.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -17,8 +22,21 @@ import numpy as np
 
 from .grid import GridSpec, SampledFunction, _shift_values
 from .weights import PowerWeight, Weight
+from .windows import bump_profile
 
-__all__ = ["Bupu", "make_integer_bupu", "fl1_nu_norm", "validate_bupu", "BupuValidationReport"]
+__all__ = [
+    "Bupu",
+    "SpacingError",
+    "make_integer_bupu",
+    "fl1_nu_norm",
+    "validate_bupu",
+    "BupuValidationReport",
+]
+
+
+class SpacingError(ValueError):
+    """The grid spacing does not divide 1, so no integer-lattice partition
+    of unity exists on the grid."""
 
 
 @dataclass(frozen=True)
@@ -67,20 +85,22 @@ class Bupu:
         return r <= self.grid.half_width - margin
 
 
+@functools.lru_cache(maxsize=16)
 def make_integer_bupu(grid: GridSpec) -> Bupu:
     """Canonical bump partition of unity on the integer lattice of ``grid``.
 
     Requires the grid spacing to divide 1 so that integer translates are
-    exact sample shifts.
+    exact sample shifts. Cached per grid, so every caller measuring a
+    function on ``grid`` shares one partition and its window translates.
     """
     steps = 1.0 / grid.spacing
     if abs(steps - round(steps)) > 1e-9:
-        raise ValueError(
+        raise SpacingError(
             f"grid spacing {grid.spacing} does not divide 1; "
             "integer-lattice windows would need interpolation"
         )
     x = grid.axis_points()
-    prof = _bump01(x)
+    prof = bump_profile(x)
     # sum of integer translates of the bump along one axis; 1-periodic away
     # from the lattice truncation, so dividing gives a partition of unity
     radius = int(np.ceil(grid.half_width)) + 1
@@ -95,14 +115,6 @@ def make_integer_bupu(grid: GridSpec) -> Bupu:
     else:
         base = base1[:, None] * base1[None, :]
     return Bupu(grid, SampledFunction(grid, base), radius)
-
-
-def _bump01(x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)
-    inside = np.abs(x) < 1.0
-    with np.errstate(divide="ignore", over="ignore"):
-        out[inside] = np.exp(-1.0 / (1.0 - x[inside] ** 2))
-    return out
 
 
 def fl1_nu_norm(phi: SampledFunction, nu: Weight | None = None) -> float:

@@ -15,6 +15,7 @@ import json
 import os
 import sys
 
+from .bupu import SpacingError
 from .evaluate import UnsupportedSpaceError, eval_space_norm
 from .harness import (
     ConfigError,
@@ -35,7 +36,7 @@ USAGE_ERROR = 2
 
 
 def _add_verify_flags(p: argparse.ArgumentParser):
-    p.add_argument("theorem_id", help="registered suite id; see --list")
+    p.add_argument("theorem_id", help="registered suite id; see `tfnorm verify list`")
     p.add_argument("--p1", default=None, help="first exponent (number, inf, inf0)")
     p.add_argument("--p2", default=None, help="second exponent (number, inf, inf0)")
     p.add_argument("--p", default=None, help="global exponent for single-exponent suites")
@@ -60,16 +61,30 @@ def _exponent_arg(v):
     return float(v)
 
 
+def _load_input(path: str):
+    """The function in ``path``, or None after printing why it is unreadable."""
+    try:
+        return load_function(path)
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        print(
+            f"error: cannot read function file {path}: {type(e).__name__}: {e}",
+            file=sys.stderr,
+        )
+        return None
+
+
 def _cmd_norm(args) -> int:
     try:
         expr = parse_space(args.space)
     except SpaceSyntaxError as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
-    f = load_function(args.input)
+    f = _load_input(args.input)
+    if f is None:
+        return USAGE_ERROR
     try:
         result, nf, trace = eval_space_norm(expr, f)
-    except UnsupportedSpaceError as e:
+    except (UnsupportedSpaceError, SpacingError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
     out = {
@@ -87,7 +102,9 @@ def _cmd_norm(args) -> int:
 
 
 def _cmd_stft(args) -> int:
-    f = load_function(args.input)
+    f = _load_input(args.input)
+    if f is None:
+        return USAGE_ERROR
     if args.window == "gaussian":
         g = normalized_gaussian(f.grid)
     elif args.window == "bump":
@@ -103,7 +120,7 @@ def _cmd_stft(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.theorem_id == "--list" or args.theorem_id == "list":
+    if args.theorem_id == "list":
         for tid in registered_suites():
             print(f"{tid:18s} {SUITE_LOCATIONS[tid]}")
         return 0

@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "GridSpec",
     "SampledFunction",
-    "dual_grid",
     "translate",
     "modulate",
     "boundary_mass",
@@ -86,10 +85,6 @@ class GridSpec:
         return GridSpec(self.dim, self.n / (4.0 * self.half_width), self.n)
 
 
-def dual_grid(grid: GridSpec) -> GridSpec:
-    return grid.dual()
-
-
 class SampledFunction:
     """Complex samples of a function on a :class:`GridSpec`.
 
@@ -114,9 +109,6 @@ class SampledFunction:
 
     def __setattr__(self, name, value):
         raise AttributeError("SampledFunction is immutable")
-
-    def copy_with(self, values) -> "SampledFunction":
-        return SampledFunction(self.grid, values)
 
     def __add__(self, other: "SampledFunction") -> "SampledFunction":
         _check_same_grid(self, other)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bupu import Bupu, make_integer_bupu, validate_bupu
+from .bupu import SpacingError, make_integer_bupu, validate_bupu
 from .family import test_family, random_smooth
 from .grid import GridSpec, SampledFunction
 from .identify.engine import normalize, trace_to_json
@@ -52,7 +52,7 @@ from .tensor import (
 )
 from .transforms import approx_identity_gn, fourier, hermite_projector, inverse_fourier
 from .weights import PowerWeight, RadialWeight2D, TensorWeight
-from .windows import bump, gaussian, normalized_gaussian, plateau
+from .windows import gaussian, normalized_gaussian, plateau
 
 __all__ = [
     "ConfigError",
@@ -121,7 +121,10 @@ def emit_report(report: VerificationReport, format: str = "json") -> bytes:
 
 
 def _grid_from_config(cfg: dict) -> GridSpec:
-    return GridSpec(1, float(cfg.get("L", 16.0)), int(cfg.get("N", 1024)))
+    try:
+        return GridSpec(1, float(cfg.get("L", 16.0)), int(cfg.get("N", 1024)))
+    except ValueError as e:
+        raise ConfigError(f"invalid grid: {e}") from None
 
 
 def _stats(ratios) -> dict:
@@ -203,18 +206,10 @@ def _smooth_tensors(grid: GridSpec, seed: int, count: int = 8) -> list:
     return out
 
 
-def _translate_window(b: Bupu, base: SampledFunction, k) -> SampledFunction:
-    from .grid import _shift_values
-
-    steps = int(round(1.0 / b.grid.spacing))
-    return SampledFunction(
-        b.grid, _shift_values(base.values, tuple(c * steps for c in k))
-    )
-
-
-def _restricted_amalgam(f: SampledFunction, spec: AmalgamSpec, b: Bupu, cells) -> float:
+def _restricted_amalgam(f: SampledFunction, spec: AmalgamSpec, cells) -> float:
     """Amalgam norm over a known superset of the active cells (exact when
     the function vanishes outside them)."""
+    b = make_integer_bupu(f.grid)
     coeffs = []
     weights = []
     w = spec.glob.weight
@@ -291,11 +286,10 @@ def _suite_lemma33(cfg):
     gs = float(cfg.get("s", 0.0))
     bound = float(cfg.get("spread_bound", 10.0))
     spec = AmalgamSpec(local, GlobalSpec(gp, PowerWeight(gs)))
-    b = make_integer_bupu(grid)
-    chi = b.base
+    chi = make_integer_bupu(grid).base
     rows = []
     for name, f in test_family(grid, seed=int(cfg.get("seed", 0))):
-        disc = amalgam_norm_discrete(f, spec, b).value
+        disc = amalgam_norm_discrete(f, spec).value
         cont = amalgam_norm_continuous(f, spec, chi).value
         rows.append(_row("ratio", name, disc, cont))
     st, bnd, ok = _spread_case(rows, "ratio", bound)
@@ -314,11 +308,10 @@ def _suite_lemma34(cfg):
     bound = float(cfg.get("spread_bound", 10.0))
     w1, w2 = PowerWeight(s1), PowerWeight(s2)
     g = normalized_gaussian(grid)
-    b_dual = make_integer_bupu(grid.dual())
     rows = []
     for name, f in test_family(grid, seed=int(cfg.get("seed", 0))):
         direct = mixed_norm(stft(f, g), p1, p2, TensorWeight(w1, w2))
-        via = modulation_norm_via_amalgam(f, p1, p2, w1, w2, b_dual).value
+        via = modulation_norm_via_amalgam(f, p1, p2, w1, w2).value
         rows.append(_row("ratio", name, direct, via))
     st, bnd, ok = _spread_case(rows, "ratio", bound)
     return rows, {"ratio": st}, {"ratio": bnd}, ok
@@ -354,39 +347,34 @@ def _suite_thm42(cfg):
     bound = float(cfg.get("spread_bound", 10.0))
     seed = int(cfg.get("seed", 0))
 
-    b = make_integer_bupu(grid)
-    b_dual = make_integer_bupu(grid.dual())
     spec_f = AmalgamSpec(LpSpec(2.0), GlobalSpec(p1, PowerWeight(s1)))
     spec_e = AmalgamSpec(local_e, GlobalSpec(p2, PowerWeight(s2)))
     target = AmalgamSpec(local_e, GlobalSpec(1.0, PowerWeight(s1 + s2)))
-    moll = bump(grid, radius=1.0, normalize="mass")
 
     def norm_first(phi, cells):
-        return _restricted_amalgam(phi, spec_f, b, cells)
+        return _restricted_amalgam(phi, spec_f, cells)
 
     def norm_second(psi, cells):
-        return _restricted_amalgam(inverse_fourier(psi), spec_e, b_dual, cells)
+        return _restricted_amalgam(inverse_fourier(psi), spec_e, cells)
 
     rows = []
     for name, f in test_family(grid, seed=seed):
-        tensor, _ = decompose_mollified(f, b)
+        tensor, _ = decompose_mollified(f)
         upper = 0.0
         for lam, phi, psi in tensor.terms:
-            k = _locate(phi, moll, b)
-            cells = _neighbour_cells(k)
+            cells = _neighbour_cells(_locate(phi))
             upper += abs(lam) * norm_first(phi, cells) * norm_second(psi, cells)
-        target_norm = amalgam_norm_discrete(f, target, b).value
+        target_norm = amalgam_norm_discrete(f, target).value
         rows.append(_row("lower", name, upper, target_norm))
 
     g_syn = plateau(grid, 2.0, 3.0)
-    full = lambda u, spec, part: amalgam_norm_discrete(u, spec, part).value
     for name, tensor in _smooth_tensors(grid, seed + 1):
         pi_val = pi_upper_bound(
             tensor,
-            lambda u: full(u, spec_f, b),
-            lambda v: full(inverse_fourier(v), spec_e, b_dual),
+            lambda u: amalgam_norm_discrete(u, spec_f).value,
+            lambda v: amalgam_norm_discrete(inverse_fourier(v), spec_e).value,
         )
-        syn = amalgam_norm_discrete(synthesize(tensor, g_syn), target, b).value
+        syn = amalgam_norm_discrete(synthesize(tensor, g_syn), target).value
         rows.append(_row("upper", name, syn, pi_val))
 
     st_lo, bnd_lo, ok_lo = _spread_case(rows, "lower", bound)
@@ -399,7 +387,7 @@ def _suite_thm42(cfg):
     )
 
 
-def _locate(phi: SampledFunction, moll: SampledFunction, b: Bupu):
+def _locate(phi: SampledFunction):
     """Lattice point of a translated mollifier term (peak position)."""
     idx = int(np.argmax(np.abs(phi.values)))
     x = phi.grid.axis_points()[idx]
@@ -424,24 +412,22 @@ def _suite_thm51(cfg):
     count = int(cfg.get("dual_count", 256))
     bound = float(cfg.get("spread_bound", 100.0))
 
-    b = make_integer_bupu(grid)
-    b_dual = make_integer_bupu(grid.dual())
     spec_f = AmalgamSpec(LpSpec(2.0), GlobalSpec(p1, PowerWeight(s1)))
     spec_e = AmalgamSpec(local_e, GlobalSpec(p2, PowerWeight(s2)))
     target = AmalgamSpec(local_e, GlobalSpec(INF0, PowerWeight(s1 + s2)))
-    model = (("amalgam", spec_f, b), ("fourier_amalgam", spec_e, b_dual))
+    model = (("amalgam", spec_f), ("fourier_amalgam", spec_e))
     duals = make_dual_samples(count, seed + 17, model, grid, grid.dual())
 
-    norm_a = lambda u: amalgam_norm_discrete(u, spec_f, b).value
-    norm_b = lambda v: amalgam_norm_discrete(inverse_fourier(v), spec_e, b_dual).value
+    norm_a = lambda u: amalgam_norm_discrete(u, spec_f).value
+    norm_b = lambda v: amalgam_norm_discrete(inverse_fourier(v), spec_e).value
 
     rows = []
     for name, f in test_family(grid, seed=seed):
-        tensor, _ = decompose_mollified(f, b)
+        tensor, _ = decompose_mollified(f)
         eps = eps_lower_bound(tensor, duals + [aligned_dual_sample(tensor, model)])
         pi = pi_upper_bound(tensor, norm_a, norm_b)
         rows.append(_row("ordering", name, eps, pi))
-        sup_norm = amalgam_norm_discrete(f, target, b).value
+        sup_norm = amalgam_norm_discrete(f, target).value
         rows.append(_row("lower", name, eps, sup_norm))
     st_o, bnd_o, ok_o = _max_case(rows, "ordering", 1.0)
     st_l, bnd_l, ok_l = _spread_case(rows, "lower", bound)
@@ -461,23 +447,22 @@ def _suite_cor61a(cfg):
         raise ConfigError("hypothesis violated: 1 <= p1 <= p2 <= 2 (Corollary 6.1(a))")
     bound = float(cfg.get("spread_bound", 10.0))
     seed = int(cfg.get("seed", 0))
-    b = make_integer_bupu(grid)
     target = AmalgamSpec(FLpSpec(p2), GlobalSpec(1.0))
 
     rows = []
     for name, f in test_family(grid, seed=seed):
-        tensor, _ = decompose_splitting(f, b)
+        tensor, _ = decompose_splitting(f)
         pi = pi_upper_bound(
             tensor, lambda u: lp_norm(u, p1), lambda v: lp_norm(v, p2)
         )
-        amal = amalgam_norm_discrete(f, target, b).value
+        amal = amalgam_norm_discrete(f, target).value
         rows.append(_row("lower", name, pi, amal))
     g_syn = plateau(grid, 2.0, 3.0)
     for name, tensor in _smooth_tensors(grid, seed + 3):
         pi = pi_upper_bound(
             tensor, lambda u: lp_norm(u, p1), lambda v: lp_norm(v, p2)
         )
-        syn = amalgam_norm_discrete(synthesize(tensor, g_syn), target, b).value
+        syn = amalgam_norm_discrete(synthesize(tensor, g_syn), target).value
         rows.append(_row("upper", name, syn, pi))
     st_lo, bnd_lo, ok_lo = _spread_case(rows, "lower", bound)
     st_up, bnd_up, ok_up = _spread_case(rows, "upper", bound)
@@ -498,18 +483,17 @@ def _suite_cor61b(cfg):
     seed = int(cfg.get("seed", 0))
     count = int(cfg.get("dual_count", 256))
     bound = float(cfg.get("spread_bound", 100.0))
-    b = make_integer_bupu(grid)
     target = AmalgamSpec(FLpSpec(p2), GlobalSpec(INF0))
     model = (("lp", p1), ("lp", p2))
     duals = make_dual_samples(count, seed + 29, model, grid, grid.dual())
 
     rows = []
     for name, f in test_family(grid, seed=seed):
-        tensor, _ = decompose_splitting(f, b)
+        tensor, _ = decompose_splitting(f)
         eps = eps_lower_bound(tensor, duals + [aligned_dual_sample(tensor, model)])
         pi = pi_upper_bound(tensor, lambda u: lp_norm(u, p1), lambda v: lp_norm(v, p2))
         rows.append(_row("ordering", name, eps, pi))
-        sup_norm = amalgam_norm_discrete(f, target, b).value
+        sup_norm = amalgam_norm_discrete(f, target).value
         rows.append(_row("lower", name, eps, sup_norm))
     st_o, bnd_o, ok_o = _max_case(rows, "ordering", 1.0)
     st_l, bnd_l, ok_l = _spread_case(rows, "lower", bound)
@@ -527,13 +511,12 @@ def _suite_rem62(cfg):
     if isinstance(p, str) or p == math.inf:
         raise ConfigError("hypothesis: p in [1, inf) (Remark 6.2)")
     bound = float(cfg.get("spread_bound", 10.0))
-    b = make_integer_bupu(grid)
     target = AmalgamSpec(FLpSpec(p), GlobalSpec(1.0))
     dual = grid.dual()
     g_dual = normalized_gaussian(dual)
     rows = []
     for name, f in test_family(grid, seed=int(cfg.get("seed", 0))):
-        amal = amalgam_norm_discrete(f, target, b).value
+        amal = amalgam_norm_discrete(f, target).value
         finv = inverse_fourier(f)
         mod = mixed_norm(stft(finv, g_dual), p, 1.0, None)
         rows.append(_row("ratio", name, amal, mod))
@@ -609,9 +592,8 @@ def _suite_identify_golden(cfg):
         )
         ok = ok and good
         rows.append(_row("golden", text, 1.0 if good else 0.0, 1.0))
-    st, bnd, all_ok = _max_case(rows, "golden", 1.0)
-    all_ok = ok and _stats([r["ratio"] for r in rows])["min"] >= 1.0
-    return rows, {"golden": st}, {"golden": {"kind": "exact", "value": 1.0}}, ok and all_ok
+    st = _stats([r["ratio"] for r in rows])
+    return rows, {"golden": st}, {"golden": {"kind": "exact", "value": 1.0}}, ok
 
 
 SUITES = {
@@ -643,10 +625,15 @@ def run_verification(theorem_id: str, **config) -> VerificationReport:
             f"unknown theorem id {theorem_id!r}; registered: {', '.join(registered_suites())}"
         )
     location, runner, rule = SUITES[theorem_id]
-    t0 = time.perf_counter()
-    rows, stats, bounds, passed = runner(config)
-    runtime = time.perf_counter() - t0
     grid = _grid_from_config(config)
+    t0 = time.perf_counter()
+    try:
+        rows, stats, bounds, passed = runner(config)
+    except SpacingError as e:
+        raise ConfigError(
+            f"hypothesis: the partition of unity needs integer lattice shifts; {e}"
+        ) from None
+    runtime = time.perf_counter() - t0
     return VerificationReport(
         theorem_id=theorem_id,
         location=location,

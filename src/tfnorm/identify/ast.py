@@ -271,7 +271,7 @@ def render(e) -> str:
         return "C0" + _bracket(e.s)
     if isinstance(e, FL):
         if isinstance(e.inner, Lp) and not isinstance(e.inner.p, str):
-            return f"FL{_fmt_num(e.inner.p)}" + _bracket(e.inner.s)
+            return f"FL{_fmt_exponent(e.inner.p)}" + _bracket(e.inner.s)
         return f"F({render(e.inner)})"
     if isinstance(e, FLinv):
         return f"Finv({render(e.inner)})"

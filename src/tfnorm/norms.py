@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bupu import Bupu, make_integer_bupu
+from .bupu import make_integer_bupu
 from .grid import GridSpec, SampledFunction, boundary_mass, _shift_values
 from .spaces import C0Spec, FLpSpec, LpSpec, SpaceSpec
 from .stft import TimeFrequencyArray, stft
@@ -175,18 +175,16 @@ def _sequence_norm(coeffs: np.ndarray, p, diagnostics: dict) -> float:
     return float((coeffs**p).sum() ** (1.0 / p))
 
 
-def amalgam_norm_discrete(f: SampledFunction, a: AmalgamSpec, b: Bupu | None = None) -> NormResult:
+def amalgam_norm_discrete(f: SampledFunction, a: AmalgamSpec) -> NormResult:
     """Lattice amalgam norm: weighted l^p of the windowed local norms.
 
-    For the vanishing sup global the value is the plain sup and the
-    vanishing property is reported as a diagnostic (grid truncation cannot
-    witness behaviour at infinity). The truncation error estimate is the
-    contribution of lattice cells within distance 2 of the boundary.
+    The windows are the canonical partition of ``f.grid``. For the vanishing
+    sup global the value is the plain sup and the vanishing property is
+    reported as a diagnostic (grid truncation cannot witness behaviour at
+    infinity). The truncation error estimate is the contribution of lattice
+    cells within distance 2 of the boundary.
     """
-    if b is None:
-        b = make_integer_bupu(f.grid)
-    if b.grid != f.grid:
-        raise ValueError("partition grid does not match the function grid")
+    b = make_integer_bupu(f.grid)
     lattice = b.lattice
     coeffs = np.array([local_norm(f, b.window(k), a.local) for k in lattice])
     coeffs = coeffs * _weight_at_lattice(a.glob.weight, lattice)
@@ -195,7 +193,7 @@ def amalgam_norm_discrete(f: SampledFunction, a: AmalgamSpec, b: Bupu | None = N
     radii = np.max(np.abs(np.asarray(lattice)), axis=1)
     order = np.argsort(radii, kind="stable")
     value = _sequence_norm(coeffs[order], a.glob.p, diagnostics)
-    edge = radii >= b.grid.half_width - 2.0
+    edge = radii >= f.grid.half_width - 2.0
     trunc = _sequence_norm(coeffs[edge], a.glob.p if a.glob.p != INF0 else math.inf, {})
     return NormResult(value, trunc, "discrete", diagnostics)
 
@@ -268,18 +266,14 @@ def modulation_norm_via_amalgam(
     p2: float,
     eta1: Weight | None = None,
     eta2: Weight | None = None,
-    b: Bupu | None = None,
 ) -> NormResult:
     """Window-free modulation norm: amalgam norm of Ff with FL^{p1}_{eta1}
     local component and l^{p2}_{eta2} global component."""
     for p in (p1, p2):
         if not (isinstance(p, (int, float)) and 1.0 <= p < math.inf):
             raise ValueError("exponents must lie in [1, inf)")
-    ff = fourier(f)
-    if b is None:
-        b = make_integer_bupu(ff.grid)
     spec = AmalgamSpec(FLpSpec(p1, eta1 or PowerWeight(0.0)), GlobalSpec(p2, eta2 or PowerWeight(0.0)))
-    inner = amalgam_norm_discrete(ff, spec, b)
+    inner = amalgam_norm_discrete(fourier(f), spec)
     return NormResult(inner.value, inner.truncation_error_estimate, "via_amalgam", inner.diagnostics)
 
 

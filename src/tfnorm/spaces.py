@@ -1,4 +1,4 @@
-"""Concrete space atoms: weighted L^p, FL^p, weighted C_0, mixed L^{p,q}.
+"""Concrete space atoms: weighted L^p, FL^p and weighted C_0.
 
 Each atom knows the closed-form growth of its translation and modulation
 operator norms as a function of its power weight: translations on L^p_{v_s}
@@ -14,13 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import GridSpec
-from .weights import PowerWeight, ProductWeight, TensorWeight, Weight
+from .weights import PowerWeight, ProductWeight, Weight
 
 __all__ = [
     "LpSpec",
     "FLpSpec",
     "C0Spec",
-    "MixedSpec",
     "SpaceSpec",
     "weight_exponent",
     "operator_norm_translation",
@@ -85,16 +84,7 @@ class C0Spec:
         return np.ones_like(np.asarray(xi, dtype=float))
 
 
-@dataclass(frozen=True)
-class MixedSpec:
-    """Mixed-norm space on the TF plane: inner L^p in x, outer L^q in xi."""
-
-    p: float
-    q: float
-    weight: TensorWeight
-
-
-SpaceSpec = LpSpec | FLpSpec | C0Spec | MixedSpec
+SpaceSpec = LpSpec | FLpSpec | C0Spec
 
 
 def operator_norm_translation(spec: SpaceSpec, x0: float, grid: GridSpec) -> float:

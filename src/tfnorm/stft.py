@@ -58,11 +58,6 @@ class TimeFrequencyArray:
 
     __rmul__ = __mul__
 
-    def __add__(self, other: "TimeFrequencyArray") -> "TimeFrequencyArray":
-        if (self.xgrid, self.xigrid) != (other.xgrid, other.xigrid):
-            raise ValueError("grid mismatch")
-        return TimeFrequencyArray(self.xgrid, self.xigrid, self.values + other.values)
-
 
 def _window_matrix(window: np.ndarray) -> np.ndarray:
     """Rows m = 0..N-1 hold the window shifted to position x_m, zero filled.

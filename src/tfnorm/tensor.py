@@ -15,16 +15,22 @@ the pairing estimate
 
 is exact on the grid (cell Hoelder plus sequence Hoelder), with
 overlap_factor = sum_{|r|<=1} max_k eta(k)/eta(k+r).
+
+Every amalgam norm, decomposition and overlap factor uses the canonical
+partition of the grid the measured function lives on, so a dual model is
+the pair (kind, AmalgamSpec).
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bupu import Bupu, make_integer_bupu
+from .bupu import make_integer_bupu
 from .grid import GridSpec, SampledFunction
 from .norms import AmalgamSpec, GlobalSpec, INF0, amalgam_norm_discrete
 from .spaces import C0Spec, FLpSpec, LpSpec
@@ -43,8 +49,6 @@ __all__ = [
     "make_dual_samples",
     "aligned_dual_sample",
     "dual_amalgam_spec",
-    "amalgam_evaluator",
-    "fourier_amalgam_evaluator",
 ]
 
 
@@ -115,8 +119,9 @@ def synthesize(t: FiniteTensor, g: SampledFunction) -> SampledFunction:
     return SampledFunction(g.grid, out)
 
 
-def _active_lattice(f: SampledFunction, b: Bupu, rel_tol: float = 1e-14):
+def _active_lattice(f: SampledFunction, rel_tol: float = 1e-14):
     """Lattice points whose windowed piece carries non-negligible L2 mass."""
+    b = make_integer_bupu(f.grid)
     pieces = {}
     for k in b.lattice:
         w = b.window(k)
@@ -128,9 +133,7 @@ def _active_lattice(f: SampledFunction, b: Bupu, rel_tol: float = 1e-14):
     return [k for k in b.lattice if pieces[k] > rel_tol * peak]
 
 
-def decompose_splitting(
-    f: SampledFunction, b: Bupu | None = None
-) -> tuple:
+def decompose_splitting(f: SampledFunction) -> tuple:
     """Split every windowed piece of f through a plateau pair.
 
     Uses g smooth with 0 <= g <= 1 and g = 1 on [-2, 2]^d, and nonnegative
@@ -139,9 +142,8 @@ def decompose_splitting(
     terms (1, T_k g, F(f phi_k T_k psi)) and synthesizes back to f against
     the returned window g.
     """
-    if b is None:
-        b = make_integer_bupu(f.grid)
     grid = f.grid
+    b = make_integer_bupu(grid)
     g = plateau(grid, 2.0, 3.0)
     c = convolve(g, g)
     ones_region = (
@@ -163,7 +165,7 @@ def decompose_splitting(
     from .grid import _shift_values
 
     terms = []
-    for k in _active_lattice(f, b):
+    for k in _active_lattice(f):
         tk_psi = _shift_values(psi.values, tuple(c_ * steps for c_ in k))
         piece = SampledFunction(grid, f.values * b.window(k).values * tk_psi)
         tk_g = SampledFunction(grid, _shift_values(g.values, tuple(c_ * steps for c_ in k)))
@@ -171,22 +173,19 @@ def decompose_splitting(
     return FiniteTensor(tuple(terms)), g
 
 
-def decompose_mollified(
-    f: SampledFunction, b: Bupu | None = None
-) -> tuple:
+def decompose_mollified(f: SampledFunction) -> tuple:
     """Mollifier-translate decomposition: terms (1, T_k m, F(f phi_k)) for the
     unit-mass bump m, with synthesis window g such that m * g = 1 on
     [-1, 1]^d (hence on every window support)."""
-    if b is None:
-        b = make_integer_bupu(f.grid)
     grid = f.grid
+    b = make_integer_bupu(grid)
     moll = bump(grid, radius=1.0, normalize="mass")
     g = plateau(grid, 2.0, 3.0)
     steps = int(round(1.0 / grid.spacing))
     from .grid import _shift_values
 
     terms = []
-    for k in _active_lattice(f, b):
+    for k in _active_lattice(f):
         piece = SampledFunction(grid, f.values * b.window(k).values)
         tk_m = SampledFunction(grid, _shift_values(moll.values, tuple(c_ * steps for c_ in k)))
         terms.append((1.0 + 0.0j, tk_m, fourier(piece)))
@@ -195,24 +194,6 @@ def decompose_mollified(
 
 # ---------------------------------------------------------------------------
 # norm evaluators and dual models
-
-
-def amalgam_evaluator(spec: AmalgamSpec, b: Bupu):
-    """Callable measuring first factors in the given amalgam."""
-
-    def norm(f: SampledFunction) -> float:
-        return amalgam_norm_discrete(f, spec, b).value
-
-    return norm
-
-
-def fourier_amalgam_evaluator(spec: AmalgamSpec, b: Bupu):
-    """Callable measuring second factors psi by the amalgam norm of F^(-1) psi."""
-
-    def norm(psi: SampledFunction) -> float:
-        return amalgam_norm_discrete(inverse_fourier(psi), spec, b).value
-
-    return norm
 
 
 def dual_amalgam_spec(spec: AmalgamSpec) -> AmalgamSpec:
@@ -249,16 +230,15 @@ def _invert(w: Weight | None) -> Weight:
     return PowerWeight(-weight_exponent(w))
 
 
-def overlap_factor(spec: AmalgamSpec, b: Bupu) -> float:
-    """Certified pairing constant: sum over |r|_inf <= 1 of the lattice
-    supremum of eta(k)/eta(k+r)."""
+@functools.lru_cache(maxsize=16)
+def overlap_factor(spec: AmalgamSpec, grid: GridSpec) -> float:
+    """Certified pairing constant: sum over |r|_inf <= 1 of the supremum of
+    eta(k)/eta(k+r) over the partition lattice of ``grid``."""
     w = spec.glob.weight or PowerWeight(0.0)
-    lattice = np.asarray(b.lattice, dtype=float)
+    lattice = np.asarray(make_integer_bupu(grid).lattice, dtype=float)
     r_norm = np.sqrt((lattice**2).sum(axis=1))
     total = 0.0
-    import itertools
-
-    for r in itertools.product((-1, 0, 1), repeat=b.grid.dim):
+    for r in itertools.product((-1, 0, 1), repeat=grid.dim):
         shifted = lattice + np.asarray(r, dtype=float)
         s_norm = np.sqrt((shifted**2).sum(axis=1))
         total += float(np.max(w.eval_radius(r_norm) / w.eval_radius(s_norm)))
@@ -271,24 +251,22 @@ class _DualModel:
     Kinds: "l2" (plain Cauchy-Schwarz pairing), "lp" with the primal
     exponent p (plain Hoelder pairing with the conjugate norm), "amalgam"
     and "fourier_amalgam" (certified discrete amalgam duality, the latter
-    for functionals acting through the transform on F^(-1)-factors).
+    for functionals acting through the transform on F^(-1)-factors). The
+    dual amalgam and its overlap factor are measured on the grid of the
+    function they act on (of its transform for "fourier_amalgam").
     """
 
-    def __init__(self, kind: str, spec=None, b: Bupu | None = None):
+    def __init__(self, kind: str, spec=None):
         if kind not in ("l2", "lp", "amalgam", "fourier_amalgam"):
             raise ValueError(f"unknown dual model kind {kind!r}")
         self.kind = kind
         self.spec = spec
-        self.b = b
-        if kind in ("l2", "lp"):
-            self.factor = 1.0
-            if kind == "lp":
-                self.q = _conjugate(float(spec))
-        else:
-            if spec is None or b is None:
-                raise ValueError("amalgam dual models need a spec and a partition")
+        if kind == "lp":
+            self.q = _conjugate(float(spec))
+        elif kind != "l2":
+            if spec is None:
+                raise ValueError("amalgam dual models need a spec")
             self.dual_spec = dual_amalgam_spec(spec)
-            self.factor = overlap_factor(spec, b)
 
     def _measure(self, f: SampledFunction) -> float:
         from .norms import lp_norm
@@ -297,12 +275,9 @@ class _DualModel:
             return f.norm2()
         if self.kind == "lp":
             return lp_norm(f, self.q)
-        if self.kind == "amalgam":
-            return amalgam_norm_discrete(f, self.dual_spec, self.b).value * self.factor
-        return (
-            amalgam_norm_discrete(fourier(f), self.dual_spec, self.b).value
-            * self.factor
-        )
+        if self.kind == "fourier_amalgam":
+            f = fourier(f)
+        return amalgam_norm_discrete(f, self.dual_spec).value * overlap_factor(self.spec, f.grid)
 
     def normalize(self, raw: SampledFunction) -> tuple:
         """Scale so the certified pairing bound uses constant 1; returns
@@ -338,9 +313,10 @@ def make_dual_samples(
     """Deterministic random dual functionals, unit norm in the dual model.
 
     ``dual_model`` is a pair of :class:`_DualModel`-compatible descriptors:
-    either the string "l2" or a tuple ("amalgam" | "fourier_amalgam",
-    AmalgamSpec, Bupu). The first entry normalizes functionals on first
-    factors (time grid), the second on second factors (frequency grid).
+    the string "l2", a pair ("lp", p) or a pair ("amalgam" |
+    "fourier_amalgam", AmalgamSpec). The first entry normalizes functionals
+    on first factors (time grid), the second on second factors (frequency
+    grid).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -378,7 +354,4 @@ def _as_model(desc) -> _DualModel:
         return desc
     if desc == "l2":
         return _DualModel("l2")
-    if desc[0] == "lp":
-        return _DualModel("lp", desc[1])
-    kind, spec, b = desc
-    return _DualModel(kind, spec, b)
+    return _DualModel(*desc)

@@ -59,6 +59,26 @@ def test_norm_command_parse_error(fn_file, capsys):
     assert "offset 11" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["norm", "stft"])
+@pytest.mark.parametrize("content", [None, "{not json", '{"values": []}'])
+def test_unreadable_input_is_usage_error(command, content, tmp_path, capsys):
+    path = tmp_path / "f.json"
+    if content is not None:
+        path.write_text(content)
+    extra = ["--space", "L2"] if command == "norm" else ["--out", str(tmp_path / "tf.json")]
+    rc = main([command, "--input", str(path), *extra])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: cannot read function file")
+
+
+def test_norm_command_grid_without_integer_partition(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    save_function(gaussian(GridSpec(1, 10.0, 1024)), str(path))  # spacing 5/256
+    rc = main(["norm", "--space", "W(L2, l1)", "--input", str(path)])
+    assert rc == 2
+    assert "does not divide 1" in capsys.readouterr().err
+
+
 def test_stft_command(fn_file, tmp_path, capsys):
     out = tmp_path / "tf.json"
     rc = main(["stft", "--window", "gaussian", "--input", fn_file, "--out", str(out)])
@@ -99,6 +119,18 @@ def test_verify_rejects_bad_config(capsys):
     rc = main(["verify", "thm4.2", "--p1", "3", "--p2", "3"])
     assert rc == 2
     assert "hypothesis violated" in capsys.readouterr().err
+
+
+def test_verify_odd_grid_is_usage_error(capsys):
+    rc = main(["verify", "bupu", "--N", "1001"])
+    assert rc == 2
+    assert "invalid grid" in capsys.readouterr().err
+
+
+def test_verify_spacing_not_dividing_one_is_usage_error(capsys):
+    rc = main(["verify", "thm5.1", "--N", "1000"])
+    assert rc == 2
+    assert "does not divide 1" in capsys.readouterr().err
 
 
 def test_verify_unknown_id(capsys):

@@ -80,6 +80,9 @@ def test_render_roundtrip():
         "Q1.5",
         "F(C0[2])",
         "W(Linf0[1], l2)",
+        "FLinf",
+        "FLinf[1]",
+        "W(FLinf, l1)",
     ]
     for t in texts:
         e = parse_space(t)

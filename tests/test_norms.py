@@ -123,35 +123,35 @@ def test_local_norms_bounded_by_overlap(grid, bupu):
 def test_amalgam_support_counting(grid, bupu):
     f = bump(grid, radius=0.9)
     spec = AmalgamSpec(LpSpec(2.0), GlobalSpec(1.0))
-    res = amalgam_norm_discrete(f, spec, bupu)
+    res = amalgam_norm_discrete(f, spec)
     center = local_norm(f, bupu.window((0,)), LpSpec(2.0))
     three = sum(local_norm(f, bupu.window((k,)), LpSpec(2.0)) for k in (-1, 0, 1))
     assert center <= res.value <= three + 1e-12
     assert res.method == "discrete"
 
 
-def test_amalgam_zero(grid, bupu):
+def test_amalgam_zero(grid):
     z = SampledFunction(grid, np.zeros(grid.n))
     spec = AmalgamSpec(LpSpec(2.0), GlobalSpec(1.0))
-    assert amalgam_norm_discrete(z, spec, bupu).value == 0.0
+    assert amalgam_norm_discrete(z, spec).value == 0.0
 
 
-def test_amalgam_global_monotonicity(grid, bupu):
+def test_amalgam_global_monotonicity(grid):
     # l^p1 >= l^p2 >= sup on the same coefficient sequence, exactly
     f = random_smooth(grid, 3)
     specs = [
         AmalgamSpec(LpSpec(2.0), GlobalSpec(p)) for p in (1.0, 2.0, 4.0)
     ]
-    vals = [amalgam_norm_discrete(f, s, bupu).value for s in specs]
+    vals = [amalgam_norm_discrete(f, s).value for s in specs]
     sup = amalgam_norm_discrete(
-        f, AmalgamSpec(LpSpec(2.0), GlobalSpec(INF0)), bupu
+        f, AmalgamSpec(LpSpec(2.0), GlobalSpec(INF0))
     ).value
     assert vals[0] >= vals[1] >= vals[2] >= sup
 
 
-def test_amalgam_linf0_diagnostics(grid, bupu):
+def test_amalgam_linf0_diagnostics(grid):
     f = gaussian(grid)
-    res = amalgam_norm_discrete(f, AmalgamSpec(LpSpec(2.0), GlobalSpec(INF0)), bupu)
+    res = amalgam_norm_discrete(f, AmalgamSpec(LpSpec(2.0), GlobalSpec(INF0)))
     assert res.diagnostics["linf0_proxy"]
     assert res.diagnostics["vanishing_tail_ok"]
 
@@ -175,18 +175,18 @@ def test_discrete_vs_continuous_gaussian_family(grid, bupu):
     ratios = []
     for a in (0.25, 0.5, 1.0, 2.0, 4.0):
         f = gaussian(grid, a=a)
-        d = amalgam_norm_discrete(f, spec, bupu).value
+        d = amalgam_norm_discrete(f, spec).value
         c = amalgam_norm_continuous(f, spec, bupu.base).value
         ratios.append(d / c)
     assert max(ratios) / min(ratios) <= 4.0
 
 
-def test_sandwich_l1_l2_sup(grid, bupu, family_small):
+def test_sandwich_l1_l2_sup(grid, family_small):
     # W(L2, l1) >= c L2 >= c' W(L2, sup) with stable empirical constants
     low, high = [], []
     for _, f in family_small:
-        l1 = amalgam_norm_discrete(f, AmalgamSpec(LpSpec(2.0), GlobalSpec(1.0)), bupu).value
-        sup = amalgam_norm_discrete(f, AmalgamSpec(LpSpec(2.0), GlobalSpec(INF0)), bupu).value
+        l1 = amalgam_norm_discrete(f, AmalgamSpec(LpSpec(2.0), GlobalSpec(1.0))).value
+        sup = amalgam_norm_discrete(f, AmalgamSpec(LpSpec(2.0), GlobalSpec(INF0))).value
         low.append(l1 / f.norm2())
         high.append(f.norm2() / sup)
     assert max(low) / min(low) <= 10.0
@@ -281,12 +281,12 @@ def test_triangle_inequality(p, s1, s2):
     assert lp_norm(f + g, p) <= lp_norm(f, p) + lp_norm(g, p) + 1e-9
 
 
-def test_amalgam_triangle_inequality(grid, bupu):
+def test_amalgam_triangle_inequality(grid):
     f, g = random_smooth(grid, 1), random_smooth(grid, 2)
     spec = AmalgamSpec(LpSpec(2.0), GlobalSpec(1.0))
-    lhs = amalgam_norm_discrete(f + g, spec, bupu).value
+    lhs = amalgam_norm_discrete(f + g, spec).value
     rhs = (
-        amalgam_norm_discrete(f, spec, bupu).value
-        + amalgam_norm_discrete(g, spec, bupu).value
+        amalgam_norm_discrete(f, spec).value
+        + amalgam_norm_discrete(g, spec).value
     )
     assert lhs <= rhs + 1e-9

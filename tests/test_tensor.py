@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tfnorm.bupu import make_integer_bupu
 from tfnorm.family import random_smooth
 from tfnorm.grid import GridSpec, SampledFunction
 from tfnorm.norms import AmalgamSpec, GlobalSpec, INF0, amalgam_norm_discrete, lp_norm
@@ -78,11 +77,9 @@ def test_dual_samples_deterministic(grid):
         assert np.array_equal(da.fb.values, db.fb.values)
 
 
-def test_dual_samples_unit_norm(grid, bupu):
-    bx = bupu
-    bxi = make_integer_bupu(grid.dual())
+def test_dual_samples_unit_norm(grid):
     spec = AmalgamSpec(LpSpec(2.0), GlobalSpec(1.0, make_power_weight(1.0)))
-    model = (("amalgam", spec, bx), ("fourier_amalgam", spec, bxi))
+    model = (("amalgam", spec), ("fourier_amalgam", spec))
     for d in make_dual_samples(4, 7, model, grid, grid.dual()):
         assert d.norm_a == pytest.approx(1.0, abs=1e-9)
         assert d.norm_b == pytest.approx(1.0, abs=1e-9)
@@ -119,27 +116,27 @@ def test_synthesize_linearity(grid, gauss_window):
 
 
 @pytest.mark.parametrize("decompose", [decompose_splitting, decompose_mollified])
-def test_roundtrip(grid, bupu, family_small, decompose):
+def test_roundtrip(grid, family_small, decompose):
     for name, f in family_small:
-        t, g = decompose(f, bupu)
+        t, g = decompose(f)
         rec = synthesize(t, g)
         assert (rec - f).norm2() / f.norm2() <= 1e-6, name
 
 
-def test_splitting_zero_function(grid, bupu):
+def test_splitting_zero_function(grid):
     z = SampledFunction(grid, np.zeros(grid.n))
-    t, _ = decompose_splitting(z, bupu)
+    t, _ = decompose_splitting(z)
     assert t.rank == 0
 
 
-def test_splitting_single_cell_rank(grid, bupu):
+def test_splitting_single_cell_rank(grid):
     f = bump(grid, radius=0.9)
-    t, _ = decompose_splitting(f, bupu)
+    t, _ = decompose_splitting(f)
     assert t.rank <= 3
 
 
-def test_splitting_window_properties(grid, bupu):
-    _, g = decompose_splitting(gaussian(grid), bupu)
+def test_splitting_window_properties(grid):
+    _, g = decompose_splitting(gaussian(grid))
     vals = g.values.real
     assert vals.min() >= 0.0 and vals.max() <= 1.0
     inner = np.abs(grid.axis_points()) <= 2.0
@@ -150,48 +147,47 @@ def test_splitting_window_properties(grid, bupu):
     assert c[cell].min() >= 1.0 - 1e-9
 
 
-def test_splitting_pi_bound_vs_amalgam(grid, bupu):
+def test_splitting_pi_bound_vs_amalgam(grid):
     # the construction's projective bound is controlled by W(FL^p, l1)
     for p in (1.0, 2.0):
         ratios = []
         target = AmalgamSpec(FLpSpec(p), GlobalSpec(1.0))
         for a in (0.5, 1.0, 2.0):
             f = gaussian(grid, a=a)
-            t, _ = decompose_splitting(f, bupu)
+            t, _ = decompose_splitting(f)
             pi = pi_upper_bound(t, lambda u: lp_norm(u, p), lambda v: lp_norm(v, p))
-            am = amalgam_norm_discrete(f, target, bupu).value
+            am = amalgam_norm_discrete(f, target).value
             ratios.append(pi / am)
         assert max(ratios) / min(ratios) <= 10.0
 
 
-def test_mollified_zero(grid, bupu):
-    t, _ = decompose_mollified(SampledFunction(grid, np.zeros(grid.n)), bupu)
+def test_mollified_zero(grid):
+    t, _ = decompose_mollified(SampledFunction(grid, np.zeros(grid.n)))
     assert t.rank == 0
 
 
-def test_mollified_term_norm_growth(grid, bupu):
+def test_mollified_term_norm_growth(grid):
     # || T_k m ||_{W(L1, l1_{v_1})} grows at most like v_1(k)
-    t, _ = decompose_mollified(gaussian(grid, a=4.0), bupu)
+    t, _ = decompose_mollified(gaussian(grid, a=4.0))
     spec = AmalgamSpec(LpSpec(1.0), GlobalSpec(1.0, make_power_weight(1.0)))
     moll_norm = amalgam_norm_discrete(
-        bump(grid, radius=1.0, normalize="mass"), spec, bupu
+        bump(grid, radius=1.0, normalize="mass"), spec
     ).value
     for lam, phi, psi in t.terms:
         k = round(float(grid.axis_points()[int(np.argmax(np.abs(phi.values)))]))
-        norm_k = amalgam_norm_discrete(phi, spec, bupu).value
+        norm_k = amalgam_norm_discrete(phi, spec).value
         assert norm_k <= 4.0 * (1.0 + abs(k)) * moll_norm
 
 
-def test_eps_leq_pi_with_certified_amalgam_duals(grid, bupu, family_small):
-    bxi = make_integer_bupu(grid.dual())
+def test_eps_leq_pi_with_certified_amalgam_duals(grid, family_small):
     spec_f = AmalgamSpec(LpSpec(2.0), GlobalSpec(2.0))
     spec_e = AmalgamSpec(LpSpec(2.0), GlobalSpec(2.0))
-    model = (("amalgam", spec_f, bupu), ("fourier_amalgam", spec_e, bxi))
+    model = (("amalgam", spec_f), ("fourier_amalgam", spec_e))
     duals = make_dual_samples(32, 5, model, grid, grid.dual())
-    norm_a = lambda u: amalgam_norm_discrete(u, spec_f, bupu).value
-    norm_b = lambda v: amalgam_norm_discrete(inverse_fourier(v), spec_e, bxi).value
+    norm_a = lambda u: amalgam_norm_discrete(u, spec_f).value
+    norm_b = lambda v: amalgam_norm_discrete(inverse_fourier(v), spec_e).value
     for name, f in family_small:
-        t, _ = decompose_mollified(f, bupu)
+        t, _ = decompose_mollified(f)
         eps = eps_lower_bound(t, duals + [aligned_dual_sample(t, model)])
         pi = pi_upper_bound(t, norm_a, norm_b)
         assert eps <= pi + 1e-12, name
@@ -207,11 +203,11 @@ def test_dual_amalgam_spec_conjugates():
     assert dual_amalgam_spec(sup_spec).glob.p == 1.0
 
 
-def test_overlap_factor_flat_weight(grid, bupu):
+def test_overlap_factor_flat_weight(grid):
     spec = AmalgamSpec(LpSpec(2.0), GlobalSpec(1.0))
-    assert overlap_factor(spec, bupu) == pytest.approx(3.0)
+    assert overlap_factor(spec, grid) == pytest.approx(3.0)
     spec1 = AmalgamSpec(LpSpec(2.0), GlobalSpec(1.0, make_power_weight(1.0)))
-    assert overlap_factor(spec1, bupu) == pytest.approx(5.0)
+    assert overlap_factor(spec1, grid) == pytest.approx(5.0)
 
 
 @settings(max_examples=10, deadline=None)
