@@ -8,7 +8,9 @@ interior grid point by construction. The lattice is Z^d intersected with
 
 Amalgam norms do not depend on the partition up to equivalence, so the
 package measures every function with the one canonical partition of its own
-grid: ``make_integer_bupu(f.grid)``, built once per grid and cached.
+grid: ``make_integer_bupu(f.grid)``, built once per grid and cached. Its
+windows are one read-only (K, *grid.shape) stack ``Bupu.windows``, so sums
+and norms over the partition are reductions over that stack.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, SampledFunction, _shift_values
+from .grid import GridSpec, SampledFunction, _shift_stack
+from .transforms import inverse_fourier
 from .weights import PowerWeight, Weight
 from .windows import bump_profile
 
@@ -47,9 +50,6 @@ class Bupu:
     base: SampledFunction
     lattice_radius: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "_window_cache", {})
-
     @property
     def lattice(self) -> list:
         """Lattice points as d-tuples of ints, in fixed lexicographic order."""
@@ -58,23 +58,30 @@ class Bupu:
             return [(k,) for k in rng]
         return list(itertools.product(rng, rng))
 
+    @functools.cached_property
+    def windows(self) -> np.ndarray:
+        """Read-only real stack of every translate, shape (K, *grid.shape):
+        row i is the base window moved to ``lattice[i]`` (zero filled)."""
+        steps = int(round(1.0 / self.grid.spacing))
+        stack = _shift_stack(self.base.values.real, np.asarray(self.lattice) * steps)
+        stack.flags.writeable = False
+        return stack
+
     def window(self, k) -> SampledFunction:
-        """Translate of the base window to lattice point k (zero filled)."""
-        k = tuple(int(c) for c in np.atleast_1d(k))
-        cache = self._window_cache
-        if k not in cache:
-            steps = int(round(1.0 / self.grid.spacing))
-            counts = tuple(c * steps for c in k)
-            cache[k] = SampledFunction(
-                self.grid, _shift_values(self.base.values, counts)
-            )
-        return cache[k]
+        """Row of ``windows`` for the lattice point k, as a function; a point
+        outside the lattice gets the all-zero window."""
+        k = np.atleast_1d(np.asarray(k, dtype=int))
+        if k.size != self.grid.dim:
+            raise ValueError(f"lattice point {tuple(k)} must have {self.grid.dim} component(s)")
+        r = self.lattice_radius
+        if np.any(np.abs(k) > r):
+            return SampledFunction(self.grid, np.zeros(self.grid.shape))
+        row = int(np.ravel_multi_index(tuple(k + r), (2 * r + 1,) * self.grid.dim))
+        return SampledFunction(self.grid, self.windows[row])
 
     def partition_sum(self) -> np.ndarray:
-        total = np.zeros(self.grid.shape)
-        for k in self.lattice:
-            total = total + self.window(k).values.real
-        return total
+        """Sum of all windows at every grid point."""
+        return self.windows.sum(axis=0)
 
     def interior_mask(self, margin: float = 2.0) -> np.ndarray:
         """Points with sup-norm distance at least ``margin`` from the boundary."""
@@ -104,10 +111,8 @@ def make_integer_bupu(grid: GridSpec) -> Bupu:
     # sum of integer translates of the bump along one axis; 1-periodic away
     # from the lattice truncation, so dividing gives a partition of unity
     radius = int(np.ceil(grid.half_width)) + 1
-    total1 = np.zeros_like(prof)
-    step = int(round(steps))
-    for k in range(-radius, radius + 1):
-        total1 += _shift_values(prof, (k * step,))
+    shifts = np.arange(-radius, radius + 1)[:, None] * int(round(steps))
+    total1 = _shift_stack(prof, shifts).sum(axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
         base1 = np.where(prof > 0.0, prof / np.where(total1 > 0, total1, 1.0), 0.0)
     if grid.dim == 1:
@@ -124,8 +129,6 @@ def fl1_nu_norm(phi: SampledFunction, nu: Weight | None = None) -> float:
     1e-6 of the total mass (aliasing guard: the quadrature only sees the
     dual domain, so the reported value undercounts by roughly that tail).
     """
-    from .transforms import inverse_fourier
-
     if nu is None:
         nu = PowerWeight(0.0)
     spec = inverse_fourier(phi)
@@ -180,9 +183,7 @@ def validate_bupu(b: Bupu, nu: Weight | None = None) -> BupuValidationReport:
     violations += int(np.count_nonzero(vals < -1e-14))
     violations += int(np.count_nonzero(vals > 1.0 + 1e-12))
 
-    counts = np.zeros(b.grid.shape, dtype=int)
-    for k in b.lattice:
-        counts += np.abs(b.window(k).values) > 1e-14
+    counts = np.count_nonzero(np.abs(b.windows) > 1e-14, axis=0)
     overlap = int(np.max(counts[interior]))
 
     m = fl1_nu_norm(b.base, nu)

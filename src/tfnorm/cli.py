@@ -29,7 +29,7 @@ from .identify.engine import explain, normalize, trace_to_json
 from .identify.parser import SpaceSyntaxError, parse_space
 from .identify.rules import RULE_NUMERIC_SUITE
 from .io_json import load_function, tf_to_dict
-from .stft import stft
+from .stft import TimeFrequencySizeError, stft
 from .windows import bump, normalized_gaussian
 
 USAGE_ERROR = 2
@@ -84,7 +84,7 @@ def _cmd_norm(args) -> int:
         return USAGE_ERROR
     try:
         result, nf, trace = eval_space_norm(expr, f)
-    except (UnsupportedSpaceError, SpacingError) as e:
+    except (UnsupportedSpaceError, SpacingError, TimeFrequencySizeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
     out = {
@@ -112,7 +112,11 @@ def _cmd_stft(args) -> int:
     else:
         print(f"error: unknown window {args.window!r}", file=sys.stderr)
         return USAGE_ERROR
-    tf = stft(f, g)
+    try:
+        tf = stft(f, g)
+    except TimeFrequencySizeError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return USAGE_ERROR
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(tf_to_dict(tf), fh)
     print(f"wrote {args.out} ({tf.values.shape[0]}x{tf.values.shape[1]} samples)")

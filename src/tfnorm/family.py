@@ -9,12 +9,14 @@ sweeps. Generators are deterministic given the seed.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .grid import GridSpec, SampledFunction
 from .windows import bump, gaussian, hermite_basis_matrix, plateau
 
-__all__ = ["test_family", "random_smooth", "FAMILY_NAMES"]
+__all__ = ["test_family", "random_smooth", "random_band_limited", "FAMILY_NAMES"]
 
 
 def _normalized(f: SampledFunction) -> SampledFunction:
@@ -22,19 +24,33 @@ def _normalized(f: SampledFunction) -> SampledFunction:
     return f * (1.0 / n)
 
 
-def random_smooth(grid: GridSpec, seed: int, n_freq: int = 32) -> SampledFunction:
-    """Seeded random band-limited function under a wide plateau envelope."""
-    rng = np.random.default_rng(seed)
+@functools.lru_cache(maxsize=16)
+def _band_basis(grid: GridSpec, n_freq: int) -> np.ndarray:
+    """Read-only (N, n_freq) basis exp(2 pi i x k dxi) of the lowest frequencies."""
     x = grid.axis_points()
     dxi = grid.dual().spacing
     ks = np.arange(-(n_freq // 2), n_freq // 2)
-    coeff = rng.standard_normal(len(ks)) + 1j * rng.standard_normal(len(ks))
-    vals = np.exp(2j * np.pi * dxi * np.outer(x, ks)) @ coeff
+    basis = np.exp(2j * np.pi * dxi * np.outer(x, ks))
+    basis.flags.writeable = False
+    return basis
+
+
+def random_band_limited(grid: GridSpec, rng: np.random.Generator, n_freq: int = 32) -> SampledFunction:
+    """Random complex coefficients on the lowest ``n_freq`` frequencies of the
+    grid, drawn from ``rng`` (a tensor product of two such sums for d=2)."""
+    basis = _band_basis(grid, n_freq)
+    k = basis.shape[1]
+    vals = basis @ (rng.standard_normal(k) + 1j * rng.standard_normal(k))
     if grid.dim == 2:
-        coeff2 = rng.standard_normal(len(ks)) + 1j * rng.standard_normal(len(ks))
-        vals = np.outer(vals, np.exp(2j * np.pi * dxi * np.outer(x, ks)) @ coeff2)
+        vals = np.outer(vals, basis @ (rng.standard_normal(k) + 1j * rng.standard_normal(k)))
+    return SampledFunction(grid, vals)
+
+
+def random_smooth(grid: GridSpec, seed: int, n_freq: int = 32) -> SampledFunction:
+    """Seeded random band-limited function under a wide plateau envelope."""
+    f = random_band_limited(grid, np.random.default_rng(seed), n_freq)
     env = plateau(grid, 0.375 * grid.half_width, 0.5 * grid.half_width)
-    return _normalized(SampledFunction(grid, vals * env.values))
+    return _normalized(f * env)
 
 
 def test_family(grid: GridSpec, seed: int = 0, small: bool = False) -> list:

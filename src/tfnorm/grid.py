@@ -170,22 +170,20 @@ def _shift_counts(grid: GridSpec, offset) -> tuple:
 
 def _shift_values(values: np.ndarray, counts: tuple) -> np.ndarray:
     """Index shift with zero fill: out[j] = in[j - count] where defined."""
-    out = values
-    for axis, c in enumerate(counts):
-        if c == 0:
-            continue
-        shifted = np.zeros_like(out)
-        src = [slice(None)] * out.ndim
-        dst = [slice(None)] * out.ndim
-        if c > 0:
-            src[axis] = slice(0, out.shape[axis] - c)
-            dst[axis] = slice(c, None)
-        else:
-            src[axis] = slice(-c, None)
-            dst[axis] = slice(0, out.shape[axis] + c)
-        shifted[tuple(dst)] = out[tuple(src)]
-        out = shifted
-    return out
+    return _shift_stack(values, np.asarray([counts]))[0]
+
+
+def _shift_stack(values: np.ndarray, counts) -> np.ndarray:
+    """Zero-filled shifts of ``values`` by every row of the (S, d) integer
+    ``counts``, as one (S, *values.shape) gather."""
+    n = values.shape[0]
+    src = np.arange(n) - np.asarray(counts)[:, :, None]  # (S, d, n) source index
+    src[(src < 0) | (src >= n)] = n  # the appended zero sample
+    padded = np.zeros(tuple(m + 1 for m in values.shape), values.dtype)
+    padded[(slice(n),) * values.ndim] = values
+    if values.ndim == 1:
+        return padded[src[:, 0]]
+    return padded[src[:, 0, :, None], src[:, 1, None, :]]
 
 
 def shifted_out_mass(f: SampledFunction, offset) -> float:
@@ -197,7 +195,7 @@ def shifted_out_mass(f: SampledFunction, offset) -> float:
         if c == 0:
             continue
         sl = [slice(None)] * vals.ndim
-        sl[axis] = slice(f.grid.n - c, None) if c > 0 else slice(0, -c)
+        sl[axis] = slice(max(f.grid.n - c, 0), None) if c > 0 else slice(0, min(-c, f.grid.n))
         lost += float(vals[tuple(sl)].sum())
     return float(np.sqrt(lost * f.grid.cell_volume))
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .bupu import SpacingError, make_integer_bupu, validate_bupu
 from .family import test_family, random_smooth
-from .grid import GridSpec, SampledFunction
+from .grid import GridSpec
 from .identify.engine import normalize, trace_to_json
 from .identify.parser import parse_space
 from .identify.rules import RULE_NUMERIC_SUITE
@@ -33,7 +33,6 @@ from .norms import (
     INF0,
     amalgam_norm_discrete,
     amalgam_norm_continuous,
-    local_norm,
     lp_norm,
     mixed_norm,
     modulation_norm_via_amalgam,
@@ -206,28 +205,6 @@ def _smooth_tensors(grid: GridSpec, seed: int, count: int = 8) -> list:
     return out
 
 
-def _restricted_amalgam(f: SampledFunction, spec: AmalgamSpec, cells) -> float:
-    """Amalgam norm over a known superset of the active cells (exact when
-    the function vanishes outside them)."""
-    b = make_integer_bupu(f.grid)
-    coeffs = []
-    weights = []
-    w = spec.glob.weight
-    for k in cells:
-        coeffs.append(local_norm(f, b.window(k), spec.local))
-        r = float(np.sqrt(sum(c * c for c in k)))
-        weights.append(1.0 if w is None else float(w.eval_radius(np.array([r]))[0]))
-    arr = np.asarray(coeffs) * np.asarray(weights)
-    p = spec.glob.p
-    if p == INF0 or p == math.inf:
-        return float(arr.max()) if len(arr) else 0.0
-    return float((arr**p).sum() ** (1.0 / p))
-
-
-def _neighbour_cells(k, radius: int = 1):
-    return [(k[0] + r,) for r in range(-radius, radius + 1)]
-
-
 # ---------------------------------------------------------------------------
 # suites
 
@@ -338,42 +315,38 @@ def _thm42_exponents(cfg):
     return p1, p2
 
 
-def _suite_thm42(cfg):
-    grid = _grid_from_config(cfg)
-    p1, p2 = _thm42_exponents(cfg)
+def _factor_amalgams(cfg, p1, p2, target_p):
+    """The amalgams of Theorems 4.2 and 5.1: W(L2, l^p1_s1) for first factors,
+    W(E, l^p2_s2) for F^(-1) of second factors, the target
+    W(E, l^target_p_{s1+s2}), and the two factor norms of the pi bound."""
     s1 = float(cfg.get("s1", 0.0))
     s2 = float(cfg.get("s2", 0.0))
     local_e = _local_from_name(str(cfg.get("E", "L2")))
-    bound = float(cfg.get("spread_bound", 10.0))
-    seed = int(cfg.get("seed", 0))
-
     spec_f = AmalgamSpec(LpSpec(2.0), GlobalSpec(p1, PowerWeight(s1)))
     spec_e = AmalgamSpec(local_e, GlobalSpec(p2, PowerWeight(s2)))
-    target = AmalgamSpec(local_e, GlobalSpec(1.0, PowerWeight(s1 + s2)))
+    target = AmalgamSpec(local_e, GlobalSpec(target_p, PowerWeight(s1 + s2)))
+    norm_a = lambda u: amalgam_norm_discrete(u, spec_f).value
+    norm_b = lambda v: amalgam_norm_discrete(inverse_fourier(v), spec_e).value
+    return spec_f, spec_e, target, norm_a, norm_b
 
-    def norm_first(phi, cells):
-        return _restricted_amalgam(phi, spec_f, cells)
 
-    def norm_second(psi, cells):
-        return _restricted_amalgam(inverse_fourier(psi), spec_e, cells)
+def _suite_thm42(cfg):
+    grid = _grid_from_config(cfg)
+    p1, p2 = _thm42_exponents(cfg)
+    _, _, target, norm_a, norm_b = _factor_amalgams(cfg, p1, p2, 1.0)
+    bound = float(cfg.get("spread_bound", 10.0))
+    seed = int(cfg.get("seed", 0))
 
     rows = []
     for name, f in test_family(grid, seed=seed):
         tensor, _ = decompose_mollified(f)
-        upper = 0.0
-        for lam, phi, psi in tensor.terms:
-            cells = _neighbour_cells(_locate(phi))
-            upper += abs(lam) * norm_first(phi, cells) * norm_second(psi, cells)
+        upper = pi_upper_bound(tensor, norm_a, norm_b)
         target_norm = amalgam_norm_discrete(f, target).value
         rows.append(_row("lower", name, upper, target_norm))
 
     g_syn = plateau(grid, 2.0, 3.0)
     for name, tensor in _smooth_tensors(grid, seed + 1):
-        pi_val = pi_upper_bound(
-            tensor,
-            lambda u: amalgam_norm_discrete(u, spec_f).value,
-            lambda v: amalgam_norm_discrete(inverse_fourier(v), spec_e).value,
-        )
+        pi_val = pi_upper_bound(tensor, norm_a, norm_b)
         syn = amalgam_norm_discrete(synthesize(tensor, g_syn), target).value
         rows.append(_row("upper", name, syn, pi_val))
 
@@ -387,13 +360,6 @@ def _suite_thm42(cfg):
     )
 
 
-def _locate(phi: SampledFunction):
-    """Lattice point of a translated mollifier term (peak position)."""
-    idx = int(np.argmax(np.abs(phi.values)))
-    x = phi.grid.axis_points()[idx]
-    return (int(round(x)),)
-
-
 def _suite_thm51(cfg):
     grid = _grid_from_config(cfg)
     p1 = _exponent_cfg(cfg.get("p1", 2.0))
@@ -405,21 +371,12 @@ def _suite_thm51(cfg):
                 "hypothesis violated: p1, p2 in (1, inf) with p1^{-1} + p2^{-1} <= 1 "
                 "(Theorem 5.1(i)), or vanishing globals"
             )
-    s1 = float(cfg.get("s1", 0.0))
-    s2 = float(cfg.get("s2", 0.0))
-    local_e = _local_from_name(str(cfg.get("E", "L2")))
+    spec_f, spec_e, target, norm_a, norm_b = _factor_amalgams(cfg, p1, p2, INF0)
     seed = int(cfg.get("seed", 0))
     count = int(cfg.get("dual_count", 256))
     bound = float(cfg.get("spread_bound", 100.0))
-
-    spec_f = AmalgamSpec(LpSpec(2.0), GlobalSpec(p1, PowerWeight(s1)))
-    spec_e = AmalgamSpec(local_e, GlobalSpec(p2, PowerWeight(s2)))
-    target = AmalgamSpec(local_e, GlobalSpec(INF0, PowerWeight(s1 + s2)))
     model = (("amalgam", spec_f), ("fourier_amalgam", spec_e))
     duals = make_dual_samples(count, seed + 17, model, grid, grid.dual())
-
-    norm_a = lambda u: amalgam_norm_discrete(u, spec_f).value
-    norm_b = lambda v: amalgam_norm_discrete(inverse_fourier(v), spec_e).value
 
     rows = []
     for name, f in test_family(grid, seed=seed):

@@ -3,7 +3,9 @@ and Shubin-Sobolev norms.
 
 Amalgam norms come in the lattice form (weighted l^p of windowed local
 norms) and the continuous form (quadrature over a subgrid of window shifts);
-the two are equivalent norms and the harness measures their ratio. The
+the two are equivalent norms and the harness measures their ratio. Both take
+their local norms from a window stack (``Bupu.windows`` or shifts of chi) by
+one product, batched transform and row reduction per block of windows. The
 mixed norm integrates the first (time) variable innermost, which is the
 order that makes the modulation-space/amalgam identification hold.
 
@@ -22,10 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bupu import make_integer_bupu
-from .grid import GridSpec, SampledFunction, boundary_mass, _shift_values
+from .grid import GridSpec, SampledFunction, boundary_mass, _shift_stack
 from .spaces import C0Spec, FLpSpec, LpSpec, SpaceSpec
 from .stft import TimeFrequencyArray, stft
-from .transforms import fourier, inverse_fourier
+from .transforms import fourier, transform_axes
 from .weights import PowerWeight, RadialWeight2D, TensorWeight, Weight
 from .windows import normalized_gaussian
 
@@ -48,6 +50,9 @@ __all__ = [
 
 #: marker for the vanishing-at-infinity l^inf / L^inf global component
 INF0 = "inf0"
+
+#: samples per block of a window stack; bounds the temporaries of one block
+_BLOCK_SAMPLES = 2**16
 
 
 @dataclass(frozen=True)
@@ -87,14 +92,22 @@ def _weight_on_grid(w: Weight | None, grid: GridSpec) -> np.ndarray:
     return w.eval_radius(grid.radii())
 
 
-def lp_norm(f: SampledFunction, p: float, w: Weight | None = None) -> float:
-    """Quadrature norm of f against the weight: ||f w||_p; p = inf is the sup."""
-    vals = np.abs(f.values) * _weight_on_grid(w, f.grid)
+def _lp_rows(values: np.ndarray, grid: GridSpec, p: float, w: Weight | None = None) -> np.ndarray:
+    """Quadrature norm ||v w||_p of every row v of a (B, *grid.shape) stack;
+    p = inf is the sup."""
+    vals = (np.abs(values) * _weight_on_grid(w, grid)).reshape(len(values), -1)
     if p == math.inf or p == INF0:
-        return float(vals.max())
+        return vals.max(axis=1)
     if not 1.0 <= p < math.inf:
         raise ValueError(f"p must be in [1, inf], got {p}")
-    return float((vals**p).sum() * f.grid.cell_volume) ** (1.0 / p)
+    sums = (vals**p).sum(axis=1) * grid.cell_volume
+    # roots in Python floats: numpy's vectorized power can differ in the last bit
+    return np.array([s ** (1.0 / p) for s in sums.tolist()])
+
+
+def lp_norm(f: SampledFunction, p: float, w: Weight | None = None) -> float:
+    """Quadrature norm of f against the weight: ||f w||_p; p = inf is the sup."""
+    return float(_lp_rows(f.values[None], f.grid, p, w)[0])
 
 
 @dataclass(frozen=True)
@@ -140,20 +153,36 @@ def mixed_norm(
     return float(((inner**q).sum() * hxi) ** (1.0 / q))
 
 
-def local_norm(f: SampledFunction, window: SampledFunction, spec: SpaceSpec) -> float:
-    """Norm of f . window in the local atom.
+def _blocks(count: int, grid: GridSpec) -> list:
+    """Slices of a window stack holding at most ``_BLOCK_SAMPLES`` samples."""
+    step = max(1, _BLOCK_SAMPLES // grid.size)
+    return [slice(i, i + step) for i in range(0, count, step)]
 
-    The product stays on the full grid (zero outside the window support), so
+
+def _local_norms(f: SampledFunction, windows: np.ndarray, spec: SpaceSpec) -> np.ndarray:
+    """Norm of f . w in the local atom for every window w of a
+    (K, *grid.shape) stack, one block of windows at a time.
+
+    The products stay on the full grid (zero outside the window support), so
     FL^p locals keep the full frequency resolution.
     """
-    prod = SampledFunction(f.grid, f.values * window.values)
-    if isinstance(spec, LpSpec):
-        return lp_norm(prod, spec.p, spec.weight)
-    if isinstance(spec, FLpSpec):
-        return lp_norm(inverse_fourier(prod), spec.p, spec.weight)
-    if isinstance(spec, C0Spec):
-        return lp_norm(prod, math.inf, spec.weight)
-    raise TypeError(f"unsupported local component {spec!r}")
+    if not isinstance(spec, (LpSpec, FLpSpec, C0Spec)):
+        raise TypeError(f"unsupported local component {spec!r}")
+    grid = f.grid
+    on_dual = isinstance(spec, FLpSpec)
+    p = math.inf if isinstance(spec, C0Spec) else spec.p
+    out = []
+    for rows in _blocks(len(windows), grid):
+        prods = f.values * windows[rows]
+        if on_dual:
+            prods = transform_axes(prods, grid.spacing, +1, grid.dim)
+        out.append(_lp_rows(prods, grid.dual() if on_dual else grid, p, spec.weight))
+    return np.concatenate(out)
+
+
+def local_norm(f: SampledFunction, window: SampledFunction, spec: SpaceSpec) -> float:
+    """Norm of f . window in the local atom."""
+    return float(_local_norms(f, window.values[None], spec)[0])
 
 
 def _weight_at_lattice(w: Weight | None, lattice) -> np.ndarray:
@@ -186,7 +215,7 @@ def amalgam_norm_discrete(f: SampledFunction, a: AmalgamSpec) -> NormResult:
     """
     b = make_integer_bupu(f.grid)
     lattice = b.lattice
-    coeffs = np.array([local_norm(f, b.window(k), a.local) for k in lattice])
+    coeffs = _local_norms(f, b.windows, a.local)
     coeffs = coeffs * _weight_at_lattice(a.glob.weight, lattice)
     diagnostics: dict = {}
     # order the sup-tail diagnostic by lattice radius
@@ -218,17 +247,15 @@ def amalgam_norm_continuous(
             f"samples_per_cell={samples_per_cell} must divide the {per_cell} samples per unit cell"
         )
     stride = per_cell // samples_per_cell
-    offsets = range(0, grid.n, stride)
+    offsets = np.arange(0, grid.n, stride) - grid.n // 2
     if grid.dim == 1:
-        shifts = [(o - grid.n // 2,) for o in offsets]
+        shifts = offsets[:, None]
     else:
-        shifts = [
-            (o1 - grid.n // 2, o2 - grid.n // 2) for o1 in offsets for o2 in offsets
-        ]
-    coeffs = np.empty(len(shifts))
-    for i, counts in enumerate(shifts):
-        win = SampledFunction(grid, _shift_values(chi.values, counts))
-        coeffs[i] = local_norm(f, win, a.local)
+        shifts = np.stack(np.meshgrid(offsets, offsets, indexing="ij"), axis=-1).reshape(-1, 2)
+    coeffs = np.concatenate([
+        _local_norms(f, _shift_stack(chi.values, shifts[rows]), a.local)
+        for rows in _blocks(len(shifts), grid)
+    ])
     pts = np.asarray(shifts, dtype=float) * grid.spacing
     r = np.abs(pts[:, 0]) if grid.dim == 1 else np.sqrt((pts**2).sum(axis=1))
     if a.glob.weight is not None:

@@ -3,18 +3,21 @@
 The time-frequency grid is the (x-grid) x (dual-grid) product with no
 oversampling, so the adjoint is the exact discrete transpose of the analysis
 map up to the quadrature weights. For d=1 the analysis runs as one batched
-FFT over all N window positions; d=2 falls back to a per-shift loop and is
-only intended for small N.
+FFT over all N window positions; d=2 transforms one shift at a time into the
+one N^4-sample array and is only intended for small N. Both directions raise
+:class:`TimeFrequencySizeError` before allocating an array above
+``MAX_TF_BYTES`` (1 GiB; d=2 reaches it at N=128).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import GridSpec, SampledFunction, _shift_values
-from .transforms import fourier, inverse_fourier
+from .transforms import fourier, inverse_fourier, transform_axes
 
 __all__ = [
     "TimeFrequencyArray",
@@ -24,11 +27,34 @@ __all__ = [
     "check_inversion",
     "stft_factorization_residual",
     "IllConditionedWindowError",
+    "TimeFrequencySizeError",
 ]
 
 
 class IllConditionedWindowError(ValueError):
     """Raised when a window pair has a vanishing inner product."""
+
+
+class TimeFrequencySizeError(ValueError):
+    """The time-frequency array of the grid would exceed ``MAX_TF_BYTES``."""
+
+
+#: largest time-frequency array (complex128, grid.size**2 samples) built
+MAX_TF_BYTES = 2**30
+
+
+def _check_tf_size(grid: GridSpec):
+    nbytes = grid.size**2 * 16
+    if nbytes > MAX_TF_BYTES:
+        raise TimeFrequencySizeError(
+            f"the time-frequency array of a {grid.dim}-D grid with N={grid.n} "
+            f"needs {nbytes / 2**30:.1f} GiB, above the 1 GiB limit"
+        )
+
+
+def _shifts_2d(n: int):
+    """Sample shifts of the d=2 time positions, in row order of the array."""
+    return itertools.product(range(-(n // 2), n // 2), repeat=2)
 
 
 @dataclass(frozen=True)
@@ -72,23 +98,6 @@ def _window_matrix(window: np.ndarray) -> np.ndarray:
     return sw[1:][::-1]
 
 
-def _forward_kernel_rows(u: np.ndarray, spacing: float) -> np.ndarray:
-    """Forward transform along axis 1 for every row (same phases as fourier)."""
-    n = u.shape[1]
-    j = np.arange(n)
-    pin = np.where(j % 2 == 0, 1.0, -1.0)
-    pout = pin * (1.0 if (n // 2) % 2 == 0 else -1.0)
-    return spacing * pout[None, :] * np.fft.fft(u * pin[None, :], axis=1)
-
-
-def _inverse_kernel_rows(u: np.ndarray, spacing: float) -> np.ndarray:
-    n = u.shape[1]
-    j = np.arange(n)
-    pin = np.where(j % 2 == 0, 1.0, -1.0)
-    pout = pin * (1.0 if (n // 2) % 2 == 0 else -1.0)
-    return spacing * n * pout[None, :] * np.fft.ifft(u * pin[None, :], axis=1)
-
-
 def stft(f: SampledFunction, g: SampledFunction) -> TimeFrequencyArray:
     """V_g f(x, xi) = F[f . conj(T_x g)](xi) for every grid position x."""
     if f.grid != g.grid:
@@ -96,18 +105,17 @@ def stft(f: SampledFunction, g: SampledFunction) -> TimeFrequencyArray:
     if g.norm2() == 0.0:
         raise ValueError("stft window must be nonzero")
     grid = f.grid
+    _check_tf_size(grid)
     if grid.dim == 1:
         frames = _window_matrix(np.conj(g.values)) * f.values[None, :]
-        vals = _forward_kernel_rows(frames, grid.spacing)
+        vals = transform_axes(frames, grid.spacing, -1, 1)
         return TimeFrequencyArray(grid, grid.dual(), vals)
-    # d = 2: loop over all lattice shifts; intended for small N only
-    n = grid.n
-    shifts = [(m1 - n // 2, m2 - n // 2) for m1 in range(n) for m2 in range(n)]
+    # d = 2: one transform per lattice shift, written into the one output array
     out = np.empty((grid.size, grid.size), dtype=np.complex128)
     gconj = np.conj(g.values)
-    for row, counts in enumerate(shifts):
+    for row, counts in enumerate(_shifts_2d(grid.n)):
         frame = f.values * _shift_values(gconj, counts)
-        out[row] = fourier(SampledFunction(grid, frame)).values.ravel()
+        out[row] = transform_axes(frame, grid.spacing, -1, 2).ravel()
     return TimeFrequencyArray(grid, grid.dual(), out)
 
 
@@ -118,17 +126,17 @@ def adjoint_stft(phi: TimeFrequencyArray, g: SampledFunction) -> SampledFunction
     if g.grid != phi.xgrid:
         raise ValueError("window must live on the time grid of the array")
     grid = phi.xgrid
+    _check_tf_size(grid)
+    spacing = phi.xigrid.spacing
     if grid.dim == 1:
-        inner = _inverse_kernel_rows(phi.values, phi.xigrid.spacing)
+        inner = transform_axes(phi.values, spacing, +1, 1)
         gm = _window_matrix(g.values)
         vals = grid.spacing * np.einsum("mj,mj->j", inner, gm)
         return SampledFunction(grid, vals)
-    n = grid.n
-    shifts = [(m1 - n // 2, m2 - n // 2) for m1 in range(n) for m2 in range(n)]
     acc = np.zeros(grid.shape, dtype=np.complex128)
-    for row, counts in enumerate(shifts):
-        spec = SampledFunction(phi.xigrid, phi.values[row].reshape(grid.shape))
-        acc += inverse_fourier(spec).values * _shift_values(g.values, counts)
+    for row, counts in enumerate(_shifts_2d(grid.n)):
+        spec = transform_axes(phi.values[row].reshape(grid.shape), spacing, +1, 2)
+        acc += spec * _shift_values(g.values, counts)
     return SampledFunction(grid, acc * grid.cell_volume)
 
 
@@ -182,7 +190,7 @@ def stft_factorization_residual(f: SampledFunction, phi: SampledFunction) -> flo
 
     ff = fourier(f)
     frames = _window_matrix(phi.values) * ff.values[None, :]
-    b = _forward_kernel_rows(frames, ff.grid.spacing)  # b[k, i] = F[Ff.T_{xi_k}phi](x_i)
+    b = transform_axes(frames, ff.grid.spacing, -1, 1)  # b[k, i] = F[Ff.T_{xi_k}phi](x_i)
     n = f.grid.n
     refl = (n - np.arange(n)) % n  # index of -x_m (periodic alias at m = 0)
     x = f.grid.axis_points()

@@ -31,9 +31,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bupu import make_integer_bupu
-from .grid import GridSpec, SampledFunction
-from .norms import AmalgamSpec, GlobalSpec, INF0, amalgam_norm_discrete
-from .spaces import C0Spec, FLpSpec, LpSpec
+from .family import random_band_limited
+from .grid import GridSpec, SampledFunction, _shift_values
+from .norms import AmalgamSpec, GlobalSpec, INF0, _local_norms, amalgam_norm_discrete, lp_norm
+from .spaces import C0Spec, FLpSpec, LpSpec, weight_exponent
 from .transforms import convolve, fourier, inverse_fourier
 from .weights import PowerWeight, Weight
 from .windows import plateau, bump
@@ -119,18 +120,11 @@ def synthesize(t: FiniteTensor, g: SampledFunction) -> SampledFunction:
     return SampledFunction(g.grid, out)
 
 
-def _active_lattice(f: SampledFunction, rel_tol: float = 1e-14):
-    """Lattice points whose windowed piece carries non-negligible L2 mass."""
-    b = make_integer_bupu(f.grid)
-    pieces = {}
-    for k in b.lattice:
-        w = b.window(k)
-        m = float(np.linalg.norm((f.values * w.values).ravel()))
-        pieces[k] = m
-    peak = max(pieces.values(), default=0.0)
-    if peak == 0.0:
-        return []
-    return [k for k in b.lattice if pieces[k] > rel_tol * peak]
+def _active_lattice(f: SampledFunction, rel_tol: float = 1e-14) -> np.ndarray:
+    """Indices of the lattice points whose windowed piece carries
+    non-negligible L2 mass."""
+    masses = _local_norms(f, make_integer_bupu(f.grid).windows, LpSpec(2.0))
+    return np.flatnonzero(masses > rel_tol * masses.max())
 
 
 def decompose_splitting(f: SampledFunction) -> tuple:
@@ -162,13 +156,12 @@ def decompose_splitting(f: SampledFunction) -> tuple:
         )
     psi = SampledFunction(grid, psi_vals)
     steps = int(round(1.0 / grid.spacing))
-    from .grid import _shift_values
-
+    lattice = b.lattice
     terms = []
-    for k in _active_lattice(f):
-        tk_psi = _shift_values(psi.values, tuple(c_ * steps for c_ in k))
-        piece = SampledFunction(grid, f.values * b.window(k).values * tk_psi)
-        tk_g = SampledFunction(grid, _shift_values(g.values, tuple(c_ * steps for c_ in k)))
+    for i in _active_lattice(f):
+        counts = tuple(c_ * steps for c_ in lattice[i])
+        piece = SampledFunction(grid, f.values * b.windows[i] * _shift_values(psi.values, counts))
+        tk_g = SampledFunction(grid, _shift_values(g.values, counts))
         terms.append((1.0 + 0.0j, tk_g, fourier(piece)))
     return FiniteTensor(tuple(terms)), g
 
@@ -182,12 +175,11 @@ def decompose_mollified(f: SampledFunction) -> tuple:
     moll = bump(grid, radius=1.0, normalize="mass")
     g = plateau(grid, 2.0, 3.0)
     steps = int(round(1.0 / grid.spacing))
-    from .grid import _shift_values
-
+    lattice = b.lattice
     terms = []
-    for k in _active_lattice(f):
-        piece = SampledFunction(grid, f.values * b.window(k).values)
-        tk_m = SampledFunction(grid, _shift_values(moll.values, tuple(c_ * steps for c_ in k)))
+    for i in _active_lattice(f):
+        piece = SampledFunction(grid, f.values * b.windows[i])
+        tk_m = SampledFunction(grid, _shift_values(moll.values, tuple(c_ * steps for c_ in lattice[i])))
         terms.append((1.0 + 0.0j, tk_m, fourier(piece)))
     return FiniteTensor(tuple(terms)), g
 
@@ -225,8 +217,6 @@ def _conjugate(p: float) -> float:
 
 
 def _invert(w: Weight | None) -> Weight:
-    from .spaces import weight_exponent
-
     return PowerWeight(-weight_exponent(w))
 
 
@@ -269,8 +259,6 @@ class _DualModel:
             self.dual_spec = dual_amalgam_spec(spec)
 
     def _measure(self, f: SampledFunction) -> float:
-        from .norms import lp_norm
-
         if self.kind == "l2":
             return f.norm2()
         if self.kind == "lp":
@@ -287,20 +275,6 @@ class _DualModel:
             raise ValueError("degenerate dual sample")
         scaled = raw * (1.0 / n)
         return scaled, float(self._measure(scaled))
-
-
-def _random_band_limited(grid: GridSpec, rng: np.random.Generator, n_freq: int = 32) -> SampledFunction:
-    """Random coefficients on the lowest ``n_freq`` frequencies of the grid."""
-    x = grid.axis_points()
-    dxi = grid.dual().spacing
-    ks = np.arange(-(n_freq // 2), n_freq // 2)
-    coeff = rng.standard_normal(len(ks)) + 1j * rng.standard_normal(len(ks))
-    basis = np.exp(2j * np.pi * dxi * np.outer(x, ks))
-    vals = basis @ coeff
-    if grid.dim == 2:
-        coeff2 = rng.standard_normal(len(ks)) + 1j * rng.standard_normal(len(ks))
-        vals = np.outer(vals, basis @ coeff2)
-    return SampledFunction(grid, vals)
 
 
 def make_dual_samples(
@@ -325,8 +299,8 @@ def make_dual_samples(
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
-        fa_raw = _random_band_limited(xgrid, rng)
-        fb_raw = _random_band_limited(xigrid, rng)
+        fa_raw = random_band_limited(xgrid, rng)
+        fb_raw = random_band_limited(xigrid, rng)
         fa, na = model_a.normalize(fa_raw)
         fb, nb = model_b.normalize(fb_raw)
         out.append(DualSample(fa, fb, na, nb))

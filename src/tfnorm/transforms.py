@@ -8,7 +8,9 @@ axis and with array index i = k + N/2,
     F f(xi_k) = h (-1)^(i - N/2) FFT[(-1)^j f_j](i),
 
 so the whole transform is two diagonal phase multiplications around one FFT.
-Parseval then holds exactly in exact arithmetic (h N dxi = 1), and both
+That kernel is ``transform_axes``; it acts on the last d axes of any array,
+so a stack of functions is transformed in one call, bit for bit as one
+function at a time. Parseval then holds exactly in exact arithmetic (h N dxi = 1), and both
 ``fourier`` and ``inverse_fourier`` map a grid to its dual; since the dual of
 the dual is the original grid, inverse_fourier(fourier(f)) lands back on f's
 grid and equals f to machine precision.
@@ -23,6 +25,7 @@ from .weights import Weight
 from .windows import bump_profile, gaussian, hermite_basis_matrix
 
 __all__ = [
+    "transform_axes",
     "fourier",
     "inverse_fourier",
     "convolve",
@@ -32,38 +35,38 @@ __all__ = [
 ]
 
 
-def _apply_axis_phase(values: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    out = values
-    for axis in range(values.ndim):
-        shape = [1] * values.ndim
-        shape[axis] = len(phase)
-        out = out * phase.reshape(shape)
-    return out
+def transform_axes(values: np.ndarray, spacing: float, sign: int, ndim: int) -> np.ndarray:
+    """Phase-corrected FFT over the last ``ndim`` axes; leading axes are a batch.
 
-
-def _fourier(f: SampledFunction, sign: int) -> SampledFunction:
-    g = f.grid
-    n = g.n
-    j = np.arange(n)
-    phase_in = np.where(j % 2 == 0, 1.0, -1.0)  # (-1)^j
-    phase_out = phase_in * (1.0 if (n // 2) % 2 == 0 else -1.0)  # (-1)^(i - N/2)
-    vals = _apply_axis_phase(f.values, phase_in)
+    ``sign`` -1 is the forward transform, +1 the inverse; ``spacing`` is the
+    sample spacing of the input grid. Returns a fresh array.
+    """
+    n = values.shape[-1]
+    axes = tuple(range(-ndim, 0))
+    phase_in = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)  # (-1)^j
+    if ndim == 2:
+        phase_in = np.outer(phase_in, phase_in)
+    phase_out = phase_in * (1.0 if (n // 2) % 2 == 0 else -1.0) ** ndim  # (-1)^(i - N/2)
     if sign < 0:
-        spec = np.fft.fftn(vals)
+        spec = np.fft.fftn(values * phase_in, axes=axes)
     else:
-        spec = np.fft.ifftn(vals) * (n**g.dim)
-    spec = _apply_axis_phase(spec, phase_out)
-    return SampledFunction(g.dual(), spec * g.cell_volume)
+        spec = np.fft.ifftn(values * phase_in, axes=axes)
+        spec *= n**ndim
+    spec *= phase_out
+    spec *= spacing**ndim
+    return spec
 
 
 def fourier(f: SampledFunction) -> SampledFunction:
     """Forward transform sampled on the dual grid."""
-    return _fourier(f, -1)
+    g = f.grid
+    return SampledFunction(g.dual(), transform_axes(f.values, g.spacing, -1, g.dim))
 
 
 def inverse_fourier(f: SampledFunction) -> SampledFunction:
     """Inverse transform sampled on the dual grid (round trips to identity)."""
-    return _fourier(f, +1)
+    g = f.grid
+    return SampledFunction(g.dual(), transform_axes(f.values, g.spacing, +1, g.dim))
 
 
 def convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction:

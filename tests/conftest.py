@@ -1,10 +1,12 @@
 import warnings
 
+import numpy as np
 import pytest
 
 from tfnorm.bupu import make_integer_bupu
 from tfnorm.family import test_family
 from tfnorm.grid import GridSpec
+from tfnorm.stft import MAX_TF_BYTES
 from tfnorm.windows import normalized_gaussian
 
 
@@ -46,3 +48,17 @@ def _quiet_aliasing_guard():
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message="spectral tail beyond the dual grid")
         yield
+
+
+@pytest.fixture()
+def no_array_above_limit(monkeypatch):
+    """Fail any numpy allocation above the time-frequency limit instead of
+    making it, so a missing size check cannot exhaust memory."""
+    for name in ("empty", "zeros"):
+        real = getattr(np, name)
+
+        def guarded(shape, *args, _real=real, **kwargs):
+            assert np.prod(shape) * 16 <= MAX_TF_BYTES, f"allocation of shape {shape}"
+            return _real(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, guarded)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tfnorm.bupu import Bupu, fl1_nu_norm, make_integer_bupu, validate_bupu
 from tfnorm.grid import GridSpec, SampledFunction, translate
@@ -110,3 +111,34 @@ def test_d2_partition():
     rep = validate_bupu(b2)
     assert rep.overlap_bound <= 4
     assert rep.passed
+
+
+@st.composite
+def _grids_with_integer_lattice(draw):
+    """Grids whose spacing 1/m divides 1: N = 2 L m samples per axis."""
+    dim = draw(st.sampled_from((1, 2)))
+    half_width = draw(st.sampled_from((2.5, 3.0, 4.0, 6.0, 8.0) if dim == 1 else (2.5, 3.0, 4.0)))
+    per_unit = draw(st.sampled_from(tuple(m for m in (2, 4, 6, 8) if 2 * half_width * m <= 128)))
+    return GridSpec(dim, half_width, int(2 * half_width * per_unit))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_grids_with_integer_lattice())
+def test_window_stack_is_a_partition_of_unity_in_lattice_order(grid):
+    b = make_integer_bupu(grid)
+    stack = b.windows
+    assert stack.shape == (len(b.lattice),) + grid.shape
+    assert stack.dtype == np.float64 and not stack.flags.writeable
+    assert np.max(np.abs(stack.sum(axis=0) - 1.0)[b.interior_mask()], initial=0.0) <= 1e-12
+    for i, k in enumerate(b.lattice):
+        assert np.array_equal(stack[i], b.window(k).values)
+
+
+def test_window_outside_the_lattice_is_zero():
+    b = make_integer_bupu(GridSpec(2, 4.0, 32))
+    r = b.lattice_radius
+    assert b.window((0, 0)).values.shape == (32, 32)
+    assert not np.any(b.window((r + 1, 0)).values)
+    assert not np.any(b.window((-r, -r - 3)).values)
+    with pytest.raises(ValueError, match="2 component"):
+        b.window((0,))

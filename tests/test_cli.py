@@ -158,3 +158,14 @@ def test_report_command(tmp_path, capsys):
 def test_report_command_empty_dir(tmp_path, capsys):
     rc = main(["report", "--dir", str(tmp_path)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("command", [["stft", "--out", "tf.json"], ["norm", "--space", "M2,2"]])
+def test_oversized_time_frequency_array_is_usage_error(command, tmp_path, capsys, no_array_above_limit):
+    path = tmp_path / "f.json"
+    save_function(gaussian(GridSpec(2, 8.0, 128)), str(path))  # d=2 N=128: a 4 GiB array
+    command = [str(tmp_path / c) if c.endswith(".json") else c for c in command]
+    rc = main([command[0], "--input", str(path), *command[1:]])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: the time-frequency array")
+    assert not (tmp_path / "tf.json").exists()

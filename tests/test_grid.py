@@ -92,6 +92,15 @@ def test_translate_warns_on_boundary_loss(grid):
         translate(f, 4.0)
 
 
+@pytest.mark.parametrize("offset", [32.0, 40.0, -40.0, 64.0, 80.0])
+def test_translate_beyond_the_domain_is_zero(offset):
+    # a shift of N to 2N samples (40.0 is 320 of 256) moves every sample out
+    f = gaussian(GridSpec(1, 16.0, 256))
+    with pytest.warns(UserWarning, match="discards relative L2 mass"):
+        moved = translate(f, offset)
+    assert not np.any(moved.values)
+
+
 def test_modulate_identity_and_modulus(grid):
     f = gaussian(grid)
     assert np.array_equal(modulate(f, 0.0).values, f.values)

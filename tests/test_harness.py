@@ -155,3 +155,8 @@ def test_tensor_suites_pass_on_grids_that_are_not_self_dual(suite, L, N):
     # side of the transform cannot stand in for the other
     r = run_verification(suite, L=L, N=N, dual_count=32)
     assert r.passed
+
+
+@pytest.mark.parametrize("suite", registered_suites())
+def test_every_suite_passes_at_its_default_config(suite):
+    assert run_verification(suite).passed

@@ -4,8 +4,10 @@ import pytest
 from tfnorm.grid import GridSpec, SampledFunction, modulate, translate
 from tfnorm.norms import mixed_norm
 from tfnorm.stft import (
+    MAX_TF_BYTES,
     IllConditionedWindowError,
     TimeFrequencyArray,
+    TimeFrequencySizeError,
     adjoint_stft,
     check_inversion,
     rank_one_tf,
@@ -144,3 +146,28 @@ def test_window_independence_of_norms(grid, family_small):
         n2 = mixed_norm(stft(f, g2), 1.0, 1.0)
         ratios.append(n1 / n2)
     assert max(ratios) / min(ratios) <= 10.0
+
+
+def test_stft_refuses_an_oversized_grid_before_allocating(no_array_above_limit):
+    g2 = GridSpec(2, 8.0, 128)  # 128^4 complex samples: 4 GiB
+    f = gaussian(g2)
+    with pytest.raises(TimeFrequencySizeError, match="4.0 GiB"):
+        stft(f, f)
+
+
+def test_adjoint_stft_refuses_an_oversized_grid(no_array_above_limit):
+    g2 = GridSpec(2, 8.0, 128)
+    phi = object.__new__(TimeFrequencyArray)  # stands in for an array never built
+    for name, value in (("xgrid", g2), ("xigrid", g2.dual()), ("values", np.zeros((1, 1)))):
+        object.__setattr__(phi, name, value)
+    with pytest.raises(TimeFrequencySizeError):
+        adjoint_stft(phi, gaussian(g2))
+
+
+def test_d2_stft_inverts_and_keeps_the_norm():
+    # the d=2 per-shift paths of stft and adjoint_stft, below the size limit
+    g2 = GridSpec(2, 4.0, 24)
+    f = gaussian(g2, a=1.0, center=(0.5, -0.5))
+    g = normalized_gaussian(g2)
+    assert check_inversion(f, g, g) <= 1e-10
+    assert mixed_norm(stft(f, g), 2.0, 2.0) == pytest.approx(f.norm2(), rel=1e-12)

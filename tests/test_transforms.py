@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tfnorm.grid import GridSpec, SampledFunction, translate
 from tfnorm.transforms import (
@@ -9,6 +10,7 @@ from tfnorm.transforms import (
     fourier,
     hermite_projector,
     inverse_fourier,
+    transform_axes,
 )
 from tfnorm.norms import lp_norm
 from tfnorm.weights import make_power_weight
@@ -207,3 +209,33 @@ def test_fourier_d2_roundtrip_and_parseval():
         -2j * np.pi * (0.5 * xi[:, None] - 1.0 * xi[None, :])
     )
     assert np.max(np.abs(ff.values - closed)) < 1e-10
+
+
+@st.composite
+def _stacks(draw):
+    """A random (B, N) or (B, N, N) stack with the grid its rows live on."""
+    dim = draw(st.sampled_from((1, 2)))
+    n = 2 * draw(st.integers(1, 64 if dim == 1 else 16))
+    grid = GridSpec(dim, draw(st.sampled_from((0.5, 3.0, 8.0, 16.0))), n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(1, 4)),) + grid.shape
+    return grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_stacks())
+def test_transform_axes_equals_the_transform_of_each_row(case):
+    grid, stack = case
+    for sign, one in ((-1, fourier), (+1, inverse_fourier)):
+        batch = transform_axes(stack, grid.spacing, sign, grid.dim)
+        for row, values in zip(batch, stack):
+            assert np.array_equal(row, one(SampledFunction(grid, values)).values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_stacks())
+def test_transform_axes_inverse_after_forward_is_identity(case):
+    grid, stack = case
+    spec = transform_axes(stack, grid.spacing, -1, grid.dim)
+    back = transform_axes(spec, grid.dual().spacing, +1, grid.dim)
+    assert np.max(np.abs(back - stack)) <= 1e-12 * np.max(np.abs(stack))
