@@ -16,6 +16,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -124,6 +125,14 @@ def _grid_from_config(cfg: dict) -> GridSpec:
         return GridSpec(1, float(cfg.get("L", 16.0)), int(cfg.get("N", 1024)))
     except ValueError as e:
         raise ConfigError(f"invalid grid: {e}") from None
+
+
+def _check_integer_cfg(cfg: dict) -> None:
+    """``seed`` must be an integer >= 0 and ``dual_count`` one >= 1."""
+    for key, least in (("seed", 0), ("dual_count", 1)):
+        v = cfg.get(key, least)
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < least:
+            raise ConfigError(f"{key} must be an integer >= {least}, got {v!r}")
 
 
 def _stats(ratios) -> dict:
@@ -583,6 +592,7 @@ def run_verification(theorem_id: str, **config) -> VerificationReport:
         )
     location, runner, rule = SUITES[theorem_id]
     grid = _grid_from_config(config)
+    _check_integer_cfg(config)
     t0 = time.perf_counter()
     try:
         rows, stats, bounds, passed = runner(config)

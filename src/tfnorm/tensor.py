@@ -5,7 +5,9 @@ A finite tensor sum_j lam_j phi_j (x) psi_j keeps its first factors on the
 time grid and its second factors on the frequency grid. The projective
 (pi) norm of the represented element is never computed exactly; the toolkit
 reports the bound attached to the given representation. The injective (eps)
-norm is lower-bounded by sampling normalized dual functionals. Dual samples
+norm is lower-bounded by sampling normalized dual functionals; the bound
+is taken over blocks of samples as two matrix products per block, each
+block holding at most ``norms._BLOCK_SAMPLES`` dual values. Dual samples
 are normalized with a certified safety factor, so the reported eps lower
 bound never exceeds the pi upper bound computed with the matching norms:
 the pairing estimate
@@ -32,8 +34,16 @@ import numpy as np
 
 from .bupu import make_integer_bupu
 from .family import random_band_limited
-from .grid import GridSpec, SampledFunction, _shift_values
-from .norms import AmalgamSpec, GlobalSpec, INF0, _local_norms, amalgam_norm_discrete, lp_norm
+from .grid import GridSpec, SampledFunction, _check_same_grid, _shift_values
+from .norms import (
+    _BLOCK_SAMPLES,
+    AmalgamSpec,
+    GlobalSpec,
+    INF0,
+    _local_norms,
+    amalgam_norm_discrete,
+    lp_norm,
+)
 from .spaces import C0Spec, FLpSpec, LpSpec, weight_exponent
 from .transforms import convolve, fourier, inverse_fourier
 from .weights import PowerWeight, Weight
@@ -97,16 +107,33 @@ class DualSample:
 
 
 def eps_lower_bound(t: FiniteTensor, duals) -> float:
-    """max over samples of |sum_j lam_j <fa, phi_j> <fb, psi_j>|."""
+    """max over samples of |sum_j lam_j <fa, phi_j> <fb, psi_j>|.
+
+    The factors are stacked once as Phi, Psi (J x N) and lam (J); each block
+    of at most ``_BLOCK_SAMPLES`` dual values per side gives
+    |((FA Phi^T) h_x o (FB Psi^T) h_xi) lam| for its rows at once.
+    """
     if t.rank == 0:
         return 0.0
-    best = 0.0
+    lam, phi, psi = zip(*t.terms)
     for d in duals:
-        acc = 0.0 + 0.0j
-        for lam, phi, psi in t.terms:
-            acc += lam * d.fa.pair(phi) * d.fb.pair(psi)
-        best = max(best, abs(acc))
-    return float(best)
+        _check_same_grid(d.fa, phi[0])
+        _check_same_grid(d.fb, psi[0])
+    lam = np.asarray(lam, dtype=np.complex128)
+    phi_rows, psi_rows = _rows(phi), _rows(psi)
+    step = max(1, _BLOCK_SAMPLES // max(phi_rows.shape[1], psi_rows.shape[1]))
+    best = 0.0
+    for i in range(0, len(duals), step):
+        block = duals[i : i + step]
+        pa = (_rows([d.fa for d in block]) @ phi_rows.T) * phi[0].grid.cell_volume
+        pb = (_rows([d.fb for d in block]) @ psi_rows.T) * psi[0].grid.cell_volume
+        best = max(best, float(np.max(np.abs((pa * pb) @ lam))))
+    return best
+
+
+def _rows(fs) -> np.ndarray:
+    """Flattened sample values of functions on one grid, one row each."""
+    return np.stack([f.values.ravel() for f in fs])
 
 
 def synthesize(t: FiniteTensor, g: SampledFunction) -> SampledFunction:

@@ -133,6 +133,22 @@ def test_verify_spacing_not_dividing_one_is_usage_error(capsys):
     assert "does not divide 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "thm5.1", "--dual-count", "0"], "dual_count must be an integer >= 1"),
+        (["verify", "cor6.1b", "--dual-count", "-3"], "dual_count must be an integer >= 1"),
+        (["verify", "lemma3.3", "--seed", "-1"], "seed must be an integer >= 0"),
+    ],
+)
+def test_verify_bad_seed_or_dual_count_is_usage_error(argv, message, capsys):
+    rc = main(argv)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err
+
+
 def test_verify_unknown_id(capsys):
     rc = main(["verify", "nope"])
     assert rc == 2

@@ -55,6 +55,22 @@ def test_cor61a_hypothesis_rejection():
         run_verification("cor6.1a", p1=1, p2=3)
 
 
+@pytest.mark.parametrize(
+    "suite, config, match",
+    [
+        ("thm5.1", {"dual_count": 0}, "dual_count must be an integer >= 1"),
+        ("cor6.1b", {"dual_count": -3}, "dual_count must be an integer >= 1"),
+        ("thm5.1", {"dual_count": 2.5}, "dual_count must be an integer >= 1"),
+        ("lemma3.3", {"seed": -1}, "seed must be an integer >= 0"),
+        ("bupu", {"seed": 1.0}, "seed must be an integer >= 0"),
+        ("thm4.2", {"seed": True}, "seed must be an integer >= 0"),
+    ],
+)
+def test_bad_seed_or_dual_count_is_config_error(suite, config, match):
+    with pytest.raises(ConfigError, match=match):
+        run_verification(suite, **config)
+
+
 def test_lemma34_rejects_sup():
     with pytest.raises(ConfigError, match="Lemma 3.4"):
         run_verification("lemma3.4", p1="inf", p2=1)

@@ -1,4 +1,6 @@
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from tfnorm.norms import AmalgamSpec, GlobalSpec, INF0, amalgam_norm_discrete, l
 from tfnorm.spaces import FLpSpec, LpSpec
 from tfnorm.stft import adjoint_stft, rank_one_tf
 from tfnorm.tensor import (
+    DualSample,
     FiniteTensor,
     aligned_dual_sample,
     decompose_mollified,
@@ -56,6 +59,89 @@ def test_pi_upper_redundant_terms(grid):
 def test_eps_zero_tensor(grid):
     duals = make_dual_samples(4, 0, ("l2", "l2"), grid, grid.dual())
     assert eps_lower_bound(FiniteTensor(()), duals) == 0.0
+
+
+def _eps_pairwise(t, duals):
+    """The injective lower bound one scalar pairing at a time."""
+    best = 0.0
+    for d in duals:
+        acc = 0.0 + 0.0j
+        for lam, phi, psi in t.terms:
+            acc += lam * d.fa.pair(phi) * d.fb.pair(psi)
+        best = max(best, abs(acc))
+    return best
+
+
+@functools.lru_cache(maxsize=1)
+def _duals_1024():
+    grid = GridSpec(1, 16.0, 1024)
+    return make_dual_samples(129, 11, ("l2", "l2"), grid, grid.dual())
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    rank=st.integers(min_value=0, max_value=4),
+    count=st.sampled_from([1, 63, 64, 65, 129]),
+)
+def test_eps_blocked_matches_pairwise(seed, rank, count):
+    # 64 rows fill one block at N=1024: 63/64/65/129 end on a partial, an
+    # exactly full and a one-row last block. The aligned dual, which
+    # usually attains the maximum, is put in turn on each row next to a
+    # block edge, so that a block that loses its first or last row changes
+    # the bound.
+    grid = GridSpec(1, 16.0, 1024)
+    rng = np.random.default_rng(seed)
+    terms = tuple(
+        (
+            complex(rng.standard_normal(), rng.standard_normal()),
+            random_smooth(grid, int(rng.integers(0, 1000))),
+            fourier(random_smooth(grid, int(rng.integers(0, 1000)))),
+        )
+        for _ in range(rank)
+    )
+    t = FiniteTensor(terms)
+    base = _duals_1024()[:count]
+    cases = [base]
+    if rank:
+        aligned = aligned_dual_sample(t, ("l2", "l2"))
+        edges = {0, 63, 64, 127, 128, count - 1} & set(range(count))
+        cases = [base[:at] + [aligned] + base[at + 1 :] for at in sorted(edges)]
+    for duals in cases:
+        got = eps_lower_bound(t, duals)
+        assert got == pytest.approx(_eps_pairwise(t, duals), rel=1e-12, abs=0.0)
+
+
+def test_eps_rejects_dual_on_other_grid(grid, grid_small):
+    t = FiniteTensor(((1.0, gaussian(grid, a=1.0), fourier(gaussian(grid, a=2.0))),))
+    good = make_dual_samples(2, 0, ("l2", "l2"), grid, grid.dual())
+    bad = make_dual_samples(1, 0, ("l2", "l2"), grid_small, grid_small.dual())
+    with pytest.raises(ValueError, match="grid mismatch"):
+        eps_lower_bound(t, good + bad)
+    mixed = DualSample(good[0].fa, bad[0].fb, 1.0, 1.0)
+    with pytest.raises(ValueError, match="grid mismatch"):
+        eps_lower_bound(t, [mixed])
+
+
+def test_eps_memory_is_blocked(grid):
+    # 512 duals hold 16 MB of values; stacking one side whole allocates
+    # 8 MB, one block of 64 rows per side 1 MB.
+    rng = np.random.default_rng(3)
+    xigrid = grid.dual()
+
+    def rand(g):
+        return SampledFunction(g, rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n))
+
+    duals = [DualSample(rand(grid), rand(xigrid), 1.0, 1.0) for _ in range(512)]
+    t = FiniteTensor(tuple((1.0, rand(grid), rand(xigrid)) for _ in range(4)))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        eps_lower_bound(t, duals)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 4 * 2**20
 
 
 def test_eps_aligned_rank_one_reaches_pi(grid):
