@@ -12,14 +12,19 @@ expressions are their own normal form.
 ``includes`` searches the directed embedding edges (amalgam global-exponent
 monotonicity, the unweighted amalgam/space sandwich, and pi into eps),
 closed under congruence in monotone positions and under normalize-equality.
-Absence of a derivation is reported as "no-evidence", never as a
-non-inclusion.
+Every node it keeps has, after ``normalize``, at most four nodes more than
+the goal (or no more than the start, if that is larger); without this bound
+the sandwich's growth edge E -> W(E, linf0) nests W(W(...W(E, linf0)...))
+without end. Absence of a derivation is reported as "no-evidence", never as
+a non-inclusion; the result's ``exhausted`` flag says whether the search
+visited every node within the bound or stopped at its node budget.
 """
 
 from __future__ import annotations
 
+import numbers
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .ast import (
     Amalgam,
@@ -117,8 +122,19 @@ def trace_to_json(trace) -> list:
 
 @dataclass(frozen=True)
 class InclusionResult:
+    """Outcome of ``includes``.
+
+    ``nodes`` is the number of distinct normal forms the search kept and
+    ``exhausted`` is True when its queue emptied before the budget ran out:
+    a no-evidence answer with ``exhausted`` True means no chain of the edges
+    exists through nodes within the size bound, with ``exhausted`` False
+    only that the budget was too small to tell.
+    """
+
     status: str  # "established" | "no-evidence"
     chain: tuple = ()
+    nodes: int = 0
+    exhausted: bool = False
 
     @property
     def established(self) -> bool:
@@ -140,9 +156,15 @@ def _edge_targets(e, candidate_ps):
     return out
 
 
-def _wrap_targets(e, target_sizes):
-    """Growth edges E -> W(E, linf0), admitted only while smaller than the goal."""
-    if _size(e) + 1 <= target_sizes:
+def _wrap_targets(e, goal_size):
+    """Growth edge E -> W(E, linf0), for a subexpression within ``goal_size``.
+
+    This only limits which subexpressions are wrapped. What bounds the
+    search is the size check ``includes`` applies to every whole node after
+    ``normalize``: a bound on the subexpression alone lets a search nest
+    W(W(...W(E, linf0)...)) without end.
+    """
+    if _size(e) + 1 <= goal_size:
         return [(Amalgam(e, INF0, 0.0), "Eq. (3.4): E into W(E, linf0)")]
     return []
 
@@ -151,7 +173,7 @@ def _size(e) -> int:
     return 1 + sum(_size(k) for k in children(e))
 
 
-def _positions(e, under_dual: bool = False):
+def _positions(e):
     """All monotone positions: congruence stops below Dual (contravariant)."""
     yield (), e
     if isinstance(e, Dual):
@@ -176,49 +198,64 @@ def _global_exponents(e, acc):
         _global_exponents(k, acc)
 
 
+def _chain_to(parents, node) -> list:
+    """Rendered (label, before, after) steps from the search's start to node."""
+    steps = []
+    while parents[node] is not None:
+        prev, label = parents[node]
+        steps.append((label, render(prev), render(node)))
+        node = prev
+    return steps[::-1]
+
+
 def includes(a, b, max_nodes: int = 4000) -> InclusionResult:
     """Breadth-first search for an embedding chain from a into b.
 
     Nodes are canonicalized by ``normalize`` (equal spaces, recorded as
-    chain steps when they change the expression). Returns the chain of
-    edges, or no-evidence; the rule set only provides inclusions, so a
-    negative answer is never asserted.
+    chain steps when they change the expression). The edges are amalgam
+    global-exponent growth (Lemma 3.1(i)), the sandwich W(E, l1) into E into
+    W(E, linf0) (Eq. (3.4)) and pi into eps, at every monotone position. A
+    node is kept only if, after ``normalize``, it has at most
+    max(size of the start, size of the goal + 4) nodes. The bound is checked
+    after ``normalize`` because a step can overshoot it and a rule then
+    collapse the whole node (wrapping a factor in W(E, linf0) can let a Mod
+    rule reduce the node to the goal).
+
+    Returns the chain of edges, or no-evidence; the rule set only provides
+    inclusions, so a negative answer is never asserted. ``nodes`` counts the
+    distinct nodes kept; ``exhausted`` tells a no-evidence answer whose
+    search visited every node within the bound from one that stopped at
+    ``max_nodes`` (the search stops expanding once it has kept that many).
+    Raises ``ValueError`` if ``max_nodes`` is not an integer >= 1.
     """
+    if isinstance(max_nodes, bool) or not isinstance(max_nodes, numbers.Integral) or max_nodes < 1:
+        raise ValueError(f"max_nodes must be an integer >= 1, got {max_nodes!r}")
     start, trace_a = normalize(a)
     goal, trace_b = normalize(b)
-    prologue = []
-    if trace_a:
-        prologue.append(("normalize", render(a), render(start)))
+    prologue = [("normalize", render(a), render(start))] if trace_a else []
+    epilogue = [("normalize (reversed)", render(goal), render(b))] if trace_b else []
     if start == goal:
-        chain = prologue + (
-            [("normalize (reversed)", render(goal), render(b))] if trace_b else []
-        )
-        return InclusionResult("established", tuple(chain))
+        return InclusionResult("established", tuple(prologue + epilogue), nodes=1)
 
     candidates = {1.0, 2.0, INF0, INF}
     _global_exponents(start, candidates)
     _global_exponents(goal, candidates)
     goal_size = _size(goal) + 4
+    max_size = max(_size(start), goal_size)
 
-    seen = {start}
-    queue = deque([(start, ())])
-    while queue and len(seen) < max_nodes:
-        node, chain = queue.popleft()
+    parents = {start: None}  # node -> (node it was reached from, edge label)
+    queue = deque([start])
+    while queue and len(parents) < max_nodes:
+        node = queue.popleft()
         for path, sub in _positions(node):
             steps = _edge_targets(sub, candidates) + _wrap_targets(sub, goal_size)
             for new_sub, label in steps:
-                raw = _replace(node, path, new_sub)
-                cand, _ = normalize(raw)
-                if cand in seen:
+                cand, _ = normalize(_replace(node, path, new_sub))
+                if cand in parents or _size(cand) > max_size:
                     continue
-                seen.add(cand)
-                new_chain = chain + ((label, render(node), render(cand)),)
+                parents[cand] = (node, label)
                 if cand == goal:
-                    full = tuple(prologue) + new_chain + (
-                        (("normalize (reversed)", render(goal), render(b)),)
-                        if trace_b
-                        else ()
-                    )
-                    return InclusionResult("established", full)
-                queue.append((cand, new_chain))
-    return InclusionResult("no-evidence")
+                    chain = prologue + _chain_to(parents, cand) + epilogue
+                    return InclusionResult("established", tuple(chain), nodes=len(parents))
+                queue.append(cand)
+    return InclusionResult("no-evidence", nodes=len(parents), exhausted=not queue)

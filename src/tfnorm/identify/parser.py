@@ -51,6 +51,15 @@ class SpaceSyntaxError(ValueError):
         self.position = position
 
 
+def _checked(pos: int, make, *args):
+    """``make(*args)``, with a constructor's ValueError (a bad exponent)
+    raised as a syntax error at the atom's offset ``pos``."""
+    try:
+        return make(*args)
+    except ValueError as err:
+        raise SpaceSyntaxError(str(err), pos) from None
+
+
 _TOKEN = re.compile(r"\s*(?:(?P<ident>[A-Za-z]+)|(?P<num>\d+(?:\.\d+)?)|(?P<punct>[()\[\],-]))")
 
 
@@ -156,9 +165,9 @@ class _Parser:
             inner = self.expr()
             if val == "W":
                 self.lex.expect_punct(",")
-                glob = self.global_component()
+                amalgam = self.global_component(inner)
                 self.lex.expect_punct(")")
-                return Amalgam(inner, glob[0], glob[1])
+                return amalgam
             self.lex.expect_punct(")")
             return {"F": FL, "Finv": FLinv, "Mod": Mod, "Dual": Dual}[val](inner)
         return self.atom(val, pos)
@@ -166,7 +175,7 @@ class _Parser:
     def atom(self, ident: str, pos: int):
         if ident == "L" or ident == "Linf":
             p = self.exponent_after(ident[1:], pos)
-            return Lp(p, self.opt_weight())
+            return _checked(pos, Lp, p, self.opt_weight())
         if ident == "C":
             kind, val, npos = self.lex.peek()
             if kind != "num" or val != "0":
@@ -175,7 +184,7 @@ class _Parser:
             return C0(self.opt_weight())
         if ident == "FL" or ident == "FLinf":
             p = self.exponent_after(ident[2:], pos)
-            return FL(Lp(p, self.opt_weight()))
+            return FL(_checked(pos, Lp, p, self.opt_weight()))
         if ident == "M":
             p = self.number()
             self.lex.expect_punct(",")
@@ -188,23 +197,24 @@ class _Parser:
                     self.lex.next()
                     s = self.signed_number()
                     self.lex.expect_punct("]")
-                    return Mpq(p, q, radial_weight(s))
+                    return _checked(pos, Mpq, p, q, radial_weight(s))
                 s1 = self.signed_number()
                 self.lex.expect_punct(",")
                 s2 = self.signed_number()
                 self.lex.expect_punct("]")
-                return Mpq(p, q, tensor_weight(s1, s2))
-            return Mpq(p, q)
+                return _checked(pos, Mpq, p, q, tensor_weight(s1, s2))
+            return _checked(pos, Mpq, p, q)
         if ident == "Q":
             return Qs(self.signed_number())
         raise SpaceSyntaxError(f"unknown token {ident!r}", pos)
 
-    def global_component(self) -> tuple:
+    def global_component(self, inner) -> Amalgam:
+        """The amalgam W(inner, l<p>[s]) whose global component comes next."""
         kind, val, pos = self.lex.next()
         if kind != "ident" or not val.startswith("l"):
             raise SpaceSyntaxError("expected a global component l<p>/linf/linf0", pos)
         p = self.exponent_after(val[1:], pos)
-        return (p, self.opt_weight())
+        return _checked(pos, Amalgam, inner, p, self.opt_weight())
 
 
 def parse_space(text: str):

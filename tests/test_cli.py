@@ -101,6 +101,14 @@ def test_identify_parse_error(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("text", ["L0.5", "W(L2, l0.5)", "M0.5,2"])
+def test_exponent_below_one_is_usage_error(text, fn_file, capsys):
+    assert main(["identify", text]) == 2
+    assert capsys.readouterr().err.startswith("error: exponent must be in [1, inf]")
+    assert main(["norm", "--space", text, "--input", fn_file]) == 2
+    assert capsys.readouterr().err.startswith("error: exponent must be in [1, inf]")
+
+
 def test_verify_command_writes_report(tmp_path, capsys):
     out = tmp_path / "bupu.json"
     rc = main(["verify", "bupu", "--N", "256", "--out", str(out)])

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tfnorm.identify import (
     Amalgam,
@@ -10,6 +11,7 @@ from tfnorm.identify import (
     FLinv,
     INF,
     INF0,
+    InclusionResult,
     Lp,
     Mod,
     Mpq,
@@ -60,6 +62,15 @@ def test_parse_exponent_variants():
 def test_parse_whitespace_insensitive():
     a = parse_space("Mod(  ( L1 opi   L2 ) )")
     assert a == parse_space("Mod((L1 opi L2))")
+
+
+@pytest.mark.parametrize(
+    "text, position", [("L0.5", 0), ("W(L2, l0.5)", 6), ("M0.5,2", 0), ("M2,0", 0), ("FL0.5[1]", 0)]
+)
+def test_parse_exponent_below_one_is_syntax_error(text, position):
+    with pytest.raises(SpaceSyntaxError, match=r"exponent must be in \[1, inf\]") as exc:
+        parse_space(text)
+    assert exc.value.position == position
 
 
 def test_parse_unknown_token():
@@ -195,6 +206,116 @@ def test_includes_no_evidence():
     r = includes(parse_space("L1"), parse_space("L2"))
     assert r.status == "no-evidence"
     assert not r.established
+    assert r.exhausted and r.nodes < 4000
+    assert includes(parse_space("L1"), parse_space("L2"), max_nodes=100_000).nodes == r.nodes
+
+
+_FINITE_PS = ("1", "1.25", "1.5", "2", "2.5", "3", "4", "6")
+
+
+@pytest.mark.parametrize("p", _FINITE_PS)
+def test_includes_lp_into_lq_is_exhausted(p):
+    for q in _FINITE_PS + ("inf", "inf0"):
+        if q == p:
+            continue
+        r = includes(parse_space(f"L{p}"), parse_space(f"L{q}"))
+        assert (r.status, r.exhausted) == ("no-evidence", True), (p, q)
+
+
+def test_includes_budget_cut_is_not_exhausted():
+    r = includes(parse_space("L1"), parse_space("L2"), max_nodes=5)
+    assert r.status == "no-evidence" and not r.exhausted
+    assert r.nodes >= 5
+
+
+def test_includes_result_defaults():
+    r = InclusionResult("no-evidence")
+    assert (r.chain, r.nodes, r.exhausted) == ((), 0, False)
+
+
+@pytest.mark.parametrize("bad", [0, -1, 2.5, "10", True, None])
+def test_includes_rejects_bad_max_nodes(bad):
+    with pytest.raises(ValueError, match="max_nodes must be an integer >= 1"):
+        includes(parse_space("L1"), parse_space("L2"), max_nodes=bad)
+
+
+# Irreducible expressions (no rewrite rule matches them): L^p, C0 and FL^p
+# atoms with power weights, amalgams over them, and bare tensors.
+_PS = (1.0, 1.25, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0)
+_weights = st.sampled_from((-1.0, 0.0, 0.5, 2.0))
+_atoms = st.one_of(
+    st.builds(Lp, st.sampled_from(_PS + (INF, INF0)), _weights),
+    st.builds(C0, _weights),
+    st.builds(lambda p, s: FL(Lp(p, s)), st.sampled_from(_PS), _weights),
+)
+_irreducible = st.one_of(
+    _atoms,
+    st.builds(Amalgam, _atoms, st.sampled_from(_PS + (INF, INF0)), _weights),
+    st.builds(TensorPi, _atoms, _atoms),
+    st.builds(TensorEps, _atoms, _atoms),
+)
+_contexts = (
+    lambda e: e,
+    lambda e: Amalgam(e, 2.0),
+    lambda e: TensorPi(e, Lp(2.0)),
+    lambda e: TensorEps(C0(), e),
+)
+
+
+@st.composite
+def _embedding_step(draw):
+    """(a, b) with b one embedding edge from a inside a context."""
+    e = draw(_irreducible)
+    step = draw(st.sampled_from(("raise", "pi-eps", "unwrap", "wrap")))
+    if step == "raise":
+        p, q = sorted(draw(st.lists(st.sampled_from(_PS + (INF,)), min_size=2, max_size=2, unique=True)))
+        s = draw(_weights)
+        a, b = Amalgam(e, p, s), Amalgam(e, q, s)
+    elif step == "pi-eps":
+        f = draw(_atoms)
+        a, b = TensorPi(e, f), TensorEps(e, f)
+    elif step == "unwrap":
+        a, b = Amalgam(e, 1.0), e
+    else:
+        a, b = e, Amalgam(e, INF0)
+    ctx = draw(st.sampled_from(_contexts))
+    return ctx(a), ctx(b)
+
+
+def _assert_linked_chain(a, b, r):
+    assert r.established, (render(a), render(b))
+    _, befores, afters = zip(*r.chain)
+    assert befores[0] == render(a) and afters[-1] == render(b)
+    assert list(afters[:-1]) == list(befores[1:])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_embedding_step())
+def test_includes_finds_every_single_step(pair):
+    a, b = pair
+    _assert_linked_chain(a, b, includes(a, b))
+
+
+@settings(max_examples=4, deadline=None)
+@given(_atoms, _atoms, _atoms)
+def test_includes_finds_the_three_step_chain(A, B, C):
+    a = TensorPi(Amalgam(A, 1.0), TensorPi(Amalgam(B, 1.0), C))
+    b = TensorPi(A, TensorEps(B, C))
+    r = includes(a, b)
+    _assert_linked_chain(a, b, r)
+    assert len(r.chain) == 3
+
+
+@pytest.mark.parametrize(
+    "a", ["Mod((W(L2, l2) oeps F(L2)))", "Mod((W((L1 opi L2), l2) oeps F(L2)))"]
+)
+def test_includes_wrap_that_a_rule_collapses(a):
+    # The start is at or past the goal's size bound (6 nodes), so wrapping
+    # F's factor overshoots it; normalize then collapses the whole node to
+    # the goal, and the size bound must be checked after normalize.
+    r = includes(parse_space(a), parse_space("W(L2, linf0)"))
+    label = "Eq. (3.4): E into W(E, linf0)"
+    assert r.chain == ((label, render(normalize(parse_space(a))[0]), "W(L2, linf0)"),)
 
 
 def test_includes_sandwich():
