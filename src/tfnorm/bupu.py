@@ -8,9 +8,12 @@ interior grid point by construction. The lattice is Z^d intersected with
 
 Amalgam norms do not depend on the partition up to equivalence, so the
 package measures every function with the one canonical partition of its own
-grid: ``make_integer_bupu(f.grid)``, built once per grid and cached. Its
-windows are one read-only (K, *grid.shape) stack ``Bupu.windows``, so sums
-and norms over the partition are reductions over that stack.
+grid: ``make_integer_bupu(f.grid)``, built once per grid and cached. Every
+window is the base window moved by an integer sample shift
+(``Bupu.shifts``), so L^p norms and decompositions need only the base
+and the shifts. The full read-only (K, *grid.shape) stack ``Bupu.windows``
+is built on first use, for FL^p local norms (full-grid transforms) and for
+sums and counts over the whole partition.
 """
 
 from __future__ import annotations
@@ -59,11 +62,19 @@ class Bupu:
         return list(itertools.product(rng, rng))
 
     @functools.cached_property
+    def shifts(self) -> np.ndarray:
+        """Read-only (K, d) integer sample shift of every translate, in
+        ``lattice`` order."""
+        steps = int(round(1.0 / self.grid.spacing))
+        shifts = np.asarray(self.lattice) * steps
+        shifts.flags.writeable = False
+        return shifts
+
+    @functools.cached_property
     def windows(self) -> np.ndarray:
         """Read-only real stack of every translate, shape (K, *grid.shape):
-        row i is the base window moved to ``lattice[i]`` (zero filled)."""
-        steps = int(round(1.0 / self.grid.spacing))
-        stack = _shift_stack(self.base.values.real, np.asarray(self.lattice) * steps)
+        row i is the base window moved by ``shifts[i]`` (zero filled)."""
+        stack = _shift_stack(self.base.values.real, self.shifts)
         stack.flags.writeable = False
         return stack
 

@@ -35,15 +35,20 @@ def _band_basis(grid: GridSpec, n_freq: int) -> np.ndarray:
     return basis
 
 
-def random_band_limited(grid: GridSpec, rng: np.random.Generator, n_freq: int = 32) -> SampledFunction:
-    """Random complex coefficients on the lowest ``n_freq`` frequencies of the
-    grid, drawn from ``rng`` (a tensor product of two such sums for d=2)."""
+def _band_limited_values(grid: GridSpec, rng: np.random.Generator, n_freq: int = 32) -> np.ndarray:
+    """Sample values of :func:`random_band_limited`, drawn in the same order."""
     basis = _band_basis(grid, n_freq)
     k = basis.shape[1]
     vals = basis @ (rng.standard_normal(k) + 1j * rng.standard_normal(k))
     if grid.dim == 2:
         vals = np.outer(vals, basis @ (rng.standard_normal(k) + 1j * rng.standard_normal(k)))
-    return SampledFunction(grid, vals)
+    return vals
+
+
+def random_band_limited(grid: GridSpec, rng: np.random.Generator, n_freq: int = 32) -> SampledFunction:
+    """Random complex coefficients on the lowest ``n_freq`` frequencies of the
+    grid, drawn from ``rng`` (a tensor product of two such sums for d=2)."""
+    return SampledFunction(grid, _band_limited_values(grid, rng, n_freq))
 
 
 def random_smooth(grid: GridSpec, seed: int, n_freq: int = 32) -> SampledFunction:

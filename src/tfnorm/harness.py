@@ -34,7 +34,9 @@ from .norms import (
     INF0,
     amalgam_norm_discrete,
     amalgam_norm_continuous,
+    amalgam_norms,
     lp_norm,
+    lp_norms,
     mixed_norm,
     modulation_norm_via_amalgam,
 )
@@ -50,7 +52,13 @@ from .tensor import (
     pi_upper_bound,
     synthesize,
 )
-from .transforms import approx_identity_gn, fourier, hermite_projector, inverse_fourier
+from .transforms import (
+    approx_identity_gn,
+    fourier,
+    hermite_projector,
+    inverse_fourier,
+    transform_axes,
+)
 from .weights import PowerWeight, RadialWeight2D, TensorWeight
 from .windows import gaussian, normalized_gaussian, plateau
 
@@ -327,16 +335,27 @@ def _thm42_exponents(cfg):
 def _factor_amalgams(cfg, p1, p2, target_p):
     """The amalgams of Theorems 4.2 and 5.1: W(L2, l^p1_s1) for first factors,
     W(E, l^p2_s2) for F^(-1) of second factors, the target
-    W(E, l^target_p_{s1+s2}), and the two factor norms of the pi bound."""
+    W(E, l^target_p_{s1+s2}), and the two stack norms of the pi bound."""
     s1 = float(cfg.get("s1", 0.0))
     s2 = float(cfg.get("s2", 0.0))
     local_e = _local_from_name(str(cfg.get("E", "L2")))
     spec_f = AmalgamSpec(LpSpec(2.0), GlobalSpec(p1, PowerWeight(s1)))
     spec_e = AmalgamSpec(local_e, GlobalSpec(p2, PowerWeight(s2)))
     target = AmalgamSpec(local_e, GlobalSpec(target_p, PowerWeight(s1 + s2)))
-    norm_a = lambda u: amalgam_norm_discrete(u, spec_f).value
-    norm_b = lambda v: amalgam_norm_discrete(inverse_fourier(v), spec_e).value
+
+    def norm_a(rows, grid):
+        return [r.value for r in amalgam_norms(rows, grid, spec_f)]
+
+    def norm_b(rows, grid):
+        spectra = transform_axes(rows, grid.spacing, +1, grid.dim)
+        return [r.value for r in amalgam_norms(spectra, grid.dual(), spec_e)]
+
     return spec_f, spec_e, target, norm_a, norm_b
+
+
+def _lp_values(p: float):
+    """Stack norm for ``pi_upper_bound``: the L^p norm of every row."""
+    return lambda rows, grid: lp_norms(rows, grid, p)
 
 
 def _suite_thm42(cfg):
@@ -418,16 +437,12 @@ def _suite_cor61a(cfg):
     rows = []
     for name, f in test_family(grid, seed=seed):
         tensor, _ = decompose_splitting(f)
-        pi = pi_upper_bound(
-            tensor, lambda u: lp_norm(u, p1), lambda v: lp_norm(v, p2)
-        )
+        pi = pi_upper_bound(tensor, _lp_values(p1), _lp_values(p2))
         amal = amalgam_norm_discrete(f, target).value
         rows.append(_row("lower", name, pi, amal))
     g_syn = plateau(grid, 2.0, 3.0)
     for name, tensor in _smooth_tensors(grid, seed + 3):
-        pi = pi_upper_bound(
-            tensor, lambda u: lp_norm(u, p1), lambda v: lp_norm(v, p2)
-        )
+        pi = pi_upper_bound(tensor, _lp_values(p1), _lp_values(p2))
         syn = amalgam_norm_discrete(synthesize(tensor, g_syn), target).value
         rows.append(_row("upper", name, syn, pi))
     st_lo, bnd_lo, ok_lo = _spread_case(rows, "lower", bound)
@@ -457,7 +472,7 @@ def _suite_cor61b(cfg):
     for name, f in test_family(grid, seed=seed):
         tensor, _ = decompose_splitting(f)
         eps = eps_lower_bound(tensor, duals + [aligned_dual_sample(tensor, model)])
-        pi = pi_upper_bound(tensor, lambda u: lp_norm(u, p1), lambda v: lp_norm(v, p2))
+        pi = pi_upper_bound(tensor, _lp_values(p1), _lp_values(p2))
         rows.append(_row("ordering", name, eps, pi))
         sup_norm = amalgam_norm_discrete(f, target).value
         rows.append(_row("lower", name, eps, sup_norm))

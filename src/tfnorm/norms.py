@@ -3,11 +3,15 @@ and Shubin-Sobolev norms.
 
 Amalgam norms come in the lattice form (weighted l^p of windowed local
 norms) and the continuous form (quadrature over a subgrid of window shifts);
-the two are equivalent norms and the harness measures their ratio. Both take
-their local norms from a window stack (``Bupu.windows`` or shifts of chi) by
-one product, batched transform and row reduction per block of windows. The
-mixed norm integrates the first (time) variable innermost, which is the
-order that makes the modulation-space/amalgam identification hold.
+the two are equivalent norms and the harness measures their ratio. The
+lattice form measures a whole (B, *grid.shape) stack of functions in one
+call (``amalgam_norms``). Every window is a base window (the partition's
+``Bupu.base`` or chi) moved by an integer sample shift, so L^p and C_0
+local norms are reduced on the base's support box at each shift, and FL^p
+local norms transform the full-grid products, B*K rows per block of at most
+``_BLOCK_SAMPLES`` samples. The mixed norm integrates the first (time)
+variable innermost, which is the order that makes the
+modulation-space/amalgam identification hold.
 
 Exponents: any p in [1, inf) as a float, ``math.inf`` for the sup norm, and
 the string marker "inf0" for the vanishing-at-infinity sup norm, whose
@@ -19,12 +23,13 @@ diagnostic in ``NormResult.diagnostics``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bupu import make_integer_bupu
-from .grid import GridSpec, SampledFunction, boundary_mass, _shift_stack
+from .grid import GridSpec, SampledFunction, _check_same_grid, _shift_stack, boundary_mass
 from .spaces import C0Spec, FLpSpec, LpSpec, SpaceSpec
 from .stft import TimeFrequencyArray, stft
 from .transforms import fourier, transform_axes
@@ -37,10 +42,12 @@ __all__ = [
     "GlobalSpec",
     "AmalgamSpec",
     "lp_norm",
+    "lp_norms",
     "c0_tail_profile",
     "TailProfile",
     "mixed_norm",
     "local_norm",
+    "amalgam_norms",
     "amalgam_norm_discrete",
     "amalgam_norm_continuous",
     "modulation_norm",
@@ -53,6 +60,10 @@ INF0 = "inf0"
 
 #: samples per block of a window stack; bounds the temporaries of one block
 _BLOCK_SAMPLES = 2**16
+
+#: gathered support-box samples per block of the L^p path: its temporaries
+#: stay small enough to be reused from the heap instead of mapped per block
+_BOX_BLOCK_SAMPLES = 2**14
 
 
 @dataclass(frozen=True)
@@ -92,22 +103,30 @@ def _weight_on_grid(w: Weight | None, grid: GridSpec) -> np.ndarray:
     return w.eval_radius(grid.radii())
 
 
-def _lp_rows(values: np.ndarray, grid: GridSpec, p: float, w: Weight | None = None) -> np.ndarray:
-    """Quadrature norm ||v w||_p of every row v of a (B, *grid.shape) stack;
-    p = inf is the sup."""
-    vals = (np.abs(values) * _weight_on_grid(w, grid)).reshape(len(values), -1)
+def _lp_reduce(vals: np.ndarray, p: float, cell_volume: float) -> np.ndarray:
+    """Quadrature p-norm of every row of the nonnegative (R, M) temporary
+    ``vals``, which it overwrites; p = inf is the row maximum."""
     if p == math.inf or p == INF0:
         return vals.max(axis=1)
     if not 1.0 <= p < math.inf:
         raise ValueError(f"p must be in [1, inf], got {p}")
-    sums = (vals**p).sum(axis=1) * grid.cell_volume
+    vals **= p
+    sums = vals.sum(axis=1) * cell_volume
     # roots in Python floats: numpy's vectorized power can differ in the last bit
     return np.array([s ** (1.0 / p) for s in sums.tolist()])
 
 
+def lp_norms(values: np.ndarray, grid: GridSpec, p: float, w: Weight | None = None) -> np.ndarray:
+    """Quadrature norm ||v w||_p of every row v of a (B, *grid.shape) stack;
+    p = inf is the sup."""
+    vals = np.abs(values).astype(np.float64, copy=False)
+    vals *= _weight_on_grid(w, grid)
+    return _lp_reduce(vals.reshape(len(values), -1), p, grid.cell_volume)
+
+
 def lp_norm(f: SampledFunction, p: float, w: Weight | None = None) -> float:
     """Quadrature norm of f against the weight: ||f w||_p; p = inf is the sup."""
-    return float(_lp_rows(f.values[None], f.grid, p, w)[0])
+    return float(lp_norms(f.values[None], f.grid, p, w)[0])
 
 
 @dataclass(frozen=True)
@@ -153,36 +172,94 @@ def mixed_norm(
     return float(((inner**q).sum() * hxi) ** (1.0 / q))
 
 
-def _blocks(count: int, grid: GridSpec) -> list:
-    """Slices of a window stack holding at most ``_BLOCK_SAMPLES`` samples."""
-    step = max(1, _BLOCK_SAMPLES // grid.size)
-    return [slice(i, i + step) for i in range(0, count, step)]
+def _support_box(base: np.ndarray) -> tuple:
+    """(start, length) per axis of the smallest block of ``base`` holding
+    every nonzero sample; one zero sample for an all-zero window."""
+    nonzero = np.nonzero(base)
+    if len(nonzero[0]) == 0:
+        return ((0, 1),) * base.ndim
+    return tuple((int(ax.min()), int(ax.max() - ax.min()) + 1) for ax in nonzero)
 
 
-def _local_norms(f: SampledFunction, windows: np.ndarray, spec: SpaceSpec) -> np.ndarray:
-    """Norm of f . w in the local atom for every window w of a
-    (K, *grid.shape) stack, one block of windows at a time.
+def _box_local_norms(values, grid: GridSpec, base, shifts, p, w) -> np.ndarray:
+    """L^p_w norm of v . T_s base for every row v and shift s, reduced on the
+    base's support box moved by s; box samples off the grid weigh zero."""
+    box = _support_box(base)
+    index, inside = [], []
+    for axis, (start, length) in enumerate(box):
+        idx = shifts[:, axis, None] + start + np.arange(length)  # (K, length)
+        ok = (idx >= 0) & (idx < grid.n)
+        index.append(np.where(ok, idx, 0))
+        inside.append(ok)
+    if grid.dim == 1:
+        sel, mask = (index[0],), inside[0]
+    else:
+        sel = (index[0][:, :, None], index[1][:, None, :])
+        mask = inside[0][:, :, None] & inside[1][:, None, :]
+    base_box = base[tuple(slice(s, s + m) for s, m in box)]
+    weight_box = np.where(mask, _weight_on_grid(w, grid)[sel], 0.0)  # (K, *box)
+    step = max(1, _BOX_BLOCK_SAMPLES // weight_box.size)
+    out = np.empty((len(values), len(shifts)))
+    for i in range(0, len(values), step):
+        prods = values[(slice(i, i + step),) + sel]
+        prods *= base_box
+        vals = np.abs(prods)
+        del prods
+        vals *= weight_box
+        norms = _lp_reduce(vals.reshape(-1, base_box.size), p, grid.cell_volume)
+        out[i : i + step] = norms.reshape(-1, len(shifts))
+    return out
 
-    The products stay on the full grid (zero outside the window support), so
-    FL^p locals keep the full frequency resolution.
-    """
-    if not isinstance(spec, (LpSpec, FLpSpec, C0Spec)):
-        raise TypeError(f"unsupported local component {spec!r}")
-    grid = f.grid
-    on_dual = isinstance(spec, FLpSpec)
-    p = math.inf if isinstance(spec, C0Spec) else spec.p
-    out = []
-    for rows in _blocks(len(windows), grid):
-        prods = f.values * windows[rows]
-        if on_dual:
-            prods = transform_axes(prods, grid.spacing, +1, grid.dim)
-        out.append(_lp_rows(prods, grid.dual() if on_dual else grid, p, spec.weight))
-    return np.concatenate(out)
+
+def _transformed_local_norms(values, grid: GridSpec, base, shifts, spec: FLpSpec, windows):
+    """FL^p norm of v . T_s base for every row v and shift s. The full-grid
+    products are transformed in blocks of at most ``_BLOCK_SAMPLES``
+    samples: whole rows times every shift while they fit, else one row
+    times a slice of the shifts. The shifted windows are read from
+    ``windows`` when it holds them already, else shifted per block."""
+    k = len(shifts)
+    wins = max(1, _BLOCK_SAMPLES // grid.size)
+    rows = max(1, wins // k)
+    out = np.empty((len(values), k))
+    for i in range(0, len(values), rows):
+        for j in range(0, k, wins):
+            if windows is None:
+                prods = values[i : i + rows, None] * _shift_stack(base, shifts[j : j + wins])
+            else:
+                prods = values[i : i + rows, None] * windows[j : j + wins]
+            spectra = transform_axes(prods, grid.spacing, +1, grid.dim).reshape(-1, *grid.shape)
+            norms = lp_norms(spectra, grid.dual(), spec.p, spec.weight)
+            out[i : i + rows, j : j + wins] = norms.reshape(prods.shape[:2])
+    return out
+
+
+def _local_norms(values: np.ndarray, grid: GridSpec, base: np.ndarray, shifts, spec, windows=None):
+    """(B, K) norms in the local atom of v . T_s base for every row v of a
+    (B, *grid.shape) stack and every integer sample shift s of the (K, d)
+    ``shifts`` (zero-filled shifts, as ``grid._shift_stack``). ``windows``
+    is that shift stack when the caller keeps it built (the partition's
+    ``Bupu.windows``); only FL^p locals read it."""
+    if isinstance(spec, FLpSpec):
+        return _transformed_local_norms(values, grid, base, shifts, spec, windows)
+    if isinstance(spec, (LpSpec, C0Spec)):
+        p = math.inf if isinstance(spec, C0Spec) else spec.p
+        return _box_local_norms(values, grid, base, shifts, p, spec.weight)
+    raise TypeError(f"unsupported local component {spec!r}")
+
+
+def _partition_local_norms(values: np.ndarray, grid: GridSpec, spec: SpaceSpec) -> np.ndarray:
+    """(B, K) local norms of every row against every window of the
+    canonical partition of ``grid``, in lattice order."""
+    b = make_integer_bupu(grid)
+    windows = b.windows if isinstance(spec, FLpSpec) else None
+    return _local_norms(values, grid, b.base.values.real, b.shifts, spec, windows)
 
 
 def local_norm(f: SampledFunction, window: SampledFunction, spec: SpaceSpec) -> float:
     """Norm of f . window in the local atom."""
-    return float(_local_norms(f, window.values[None], spec)[0])
+    _check_same_grid(f, window)
+    no_shift = np.zeros((1, f.grid.dim), dtype=int)
+    return float(_local_norms(f.values[None], f.grid, window.values, no_shift, spec)[0, 0])
 
 
 def _weight_at_lattice(w: Weight | None, lattice) -> np.ndarray:
@@ -204,27 +281,39 @@ def _sequence_norm(coeffs: np.ndarray, p, diagnostics: dict) -> float:
     return float((coeffs**p).sum() ** (1.0 / p))
 
 
-def amalgam_norm_discrete(f: SampledFunction, a: AmalgamSpec) -> NormResult:
-    """Lattice amalgam norm: weighted l^p of the windowed local norms.
+def amalgam_norms(values: np.ndarray, grid: GridSpec, a: AmalgamSpec) -> list:
+    """Lattice amalgam norm of every row of a (B, *grid.shape) stack: the
+    weighted l^p of its windowed local norms, one NormResult per row.
 
-    The windows are the canonical partition of ``f.grid``. For the vanishing
+    The windows are the canonical partition of ``grid``. For the vanishing
     sup global the value is the plain sup and the vanishing property is
     reported as a diagnostic (grid truncation cannot witness behaviour at
     infinity). The truncation error estimate is the contribution of lattice
     cells within distance 2 of the boundary.
     """
-    b = make_integer_bupu(f.grid)
-    lattice = b.lattice
-    coeffs = _local_norms(f, b.windows, a.local)
+    values = np.asarray(values, dtype=np.complex128)
+    if values.shape[1:] != grid.shape:
+        raise ValueError(f"stack of shape {values.shape} does not hold rows of shape {grid.shape}")
+    lattice = make_integer_bupu(grid).lattice
+    coeffs = _partition_local_norms(values, grid, a.local)
     coeffs = coeffs * _weight_at_lattice(a.glob.weight, lattice)
-    diagnostics: dict = {}
     # order the sup-tail diagnostic by lattice radius
     radii = np.max(np.abs(np.asarray(lattice)), axis=1)
     order = np.argsort(radii, kind="stable")
-    value = _sequence_norm(coeffs[order], a.glob.p, diagnostics)
-    edge = radii >= f.grid.half_width - 2.0
-    trunc = _sequence_norm(coeffs[edge], a.glob.p if a.glob.p != INF0 else math.inf, {})
-    return NormResult(value, trunc, "discrete", diagnostics)
+    edge = radii >= grid.half_width - 2.0
+    edge_p = a.glob.p if a.glob.p != INF0 else math.inf
+    out = []
+    for row in coeffs:
+        diagnostics: dict = {}
+        value = _sequence_norm(row[order], a.glob.p, diagnostics)
+        trunc = _sequence_norm(row[edge], edge_p, {})
+        out.append(NormResult(value, trunc, "discrete", diagnostics))
+    return out
+
+
+def amalgam_norm_discrete(f: SampledFunction, a: AmalgamSpec) -> NormResult:
+    """Lattice amalgam norm of f: the one-row case of :func:`amalgam_norms`."""
+    return amalgam_norms(f.values[None], f.grid, a)[0]
 
 
 def amalgam_norm_continuous(
@@ -238,6 +327,13 @@ def amalgam_norm_continuous(
     Integrates local_norm(f, T_x chi, local)^p w(x)^p over x with
     ``samples_per_cell`` shift samples per unit cell.
     """
+    _check_same_grid(f, chi)
+    if (
+        isinstance(samples_per_cell, bool)
+        or not isinstance(samples_per_cell, numbers.Integral)
+        or samples_per_cell < 1
+    ):
+        raise ValueError(f"samples_per_cell must be a positive integer, got {samples_per_cell!r}")
     if chi.norm2() == 0.0:
         raise ValueError("chi must be nonzero")
     grid = f.grid
@@ -252,10 +348,7 @@ def amalgam_norm_continuous(
         shifts = offsets[:, None]
     else:
         shifts = np.stack(np.meshgrid(offsets, offsets, indexing="ij"), axis=-1).reshape(-1, 2)
-    coeffs = np.concatenate([
-        _local_norms(f, _shift_stack(chi.values, shifts[rows]), a.local)
-        for rows in _blocks(len(shifts), grid)
-    ])
+    coeffs = _local_norms(f.values[None], grid, chi.values, shifts, a.local)[0]
     pts = np.asarray(shifts, dtype=float) * grid.spacing
     r = np.abs(pts[:, 0]) if grid.dim == 1 else np.sqrt((pts**2).sum(axis=1))
     if a.glob.weight is not None:

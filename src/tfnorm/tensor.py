@@ -4,12 +4,14 @@ constructive decompositions that drive the norm-identification checks.
 A finite tensor sum_j lam_j phi_j (x) psi_j keeps its first factors on the
 time grid and its second factors on the frequency grid. The projective
 (pi) norm of the represented element is never computed exactly; the toolkit
-reports the bound attached to the given representation. The injective (eps)
-norm is lower-bounded by sampling normalized dual functionals; the bound
-is taken over blocks of samples as two matrix products per block, each
-block holding at most ``norms._BLOCK_SAMPLES`` dual values. Dual samples
-are normalized with a certified safety factor, so the reported eps lower
-bound never exceeds the pi upper bound computed with the matching norms:
+reports the bound attached to the given representation, measuring each
+side's factors as one stack. The injective (eps) norm is lower-bounded by
+sampling normalized dual functionals; the bound is taken over blocks of
+samples as two matrix products per block, each block holding at most
+``norms._BLOCK_SAMPLES`` dual values. Dual samples are drawn one at a time
+and normalized per block of the same size, with a certified safety factor,
+so the reported eps lower bound never exceeds the pi upper bound computed
+with the matching norms:
 the pairing estimate
 
     |<f', phi>| <= sum_{|r|<=1} |<f' phi_k, phi phi_{k+r}>|
@@ -33,19 +35,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bupu import make_integer_bupu
-from .family import random_band_limited
-from .grid import GridSpec, SampledFunction, _check_same_grid, _shift_values
+from .family import _band_limited_values
+from .grid import GridSpec, SampledFunction, _check_same_grid, _share_rows, _shift_stack
 from .norms import (
     _BLOCK_SAMPLES,
     AmalgamSpec,
     GlobalSpec,
     INF0,
-    _local_norms,
-    amalgam_norm_discrete,
-    lp_norm,
+    _partition_local_norms,
+    amalgam_norms,
+    lp_norms,
 )
 from .spaces import C0Spec, FLpSpec, LpSpec, weight_exponent
-from .transforms import convolve, fourier, inverse_fourier
+from .transforms import convolve, inverse_fourier, transform_axes
 from .weights import PowerWeight, Weight
 from .windows import plateau, bump
 
@@ -89,10 +91,18 @@ class FiniteTensor:
 
 def pi_upper_bound(t: FiniteTensor, norm_a, norm_b) -> float:
     """sum_j |lam_j| norm_a(phi_j) norm_b(psi_j): an upper bound for the
-    projective norm of the element this representation denotes."""
-    return float(
-        sum(abs(lam) * norm_a(phi) * norm_b(psi) for lam, phi, psi in t.terms)
-    )
+    projective norm of the element this representation denotes.
+
+    Each side is measured with one call: ``norm_a(stack, grid)`` gets the
+    (J, *grid.shape) stack of the first factors and their grid and returns
+    their J norms; ``norm_b`` likewise for the second factors.
+    """
+    if t.rank == 0:
+        return 0.0
+    lam, phi, psi = zip(*t.terms)
+    na = norm_a(_rows(phi), phi[0].grid)
+    nb = norm_b(_rows(psi), psi[0].grid)
+    return float(sum(abs(c) * a * b for c, a, b in zip(lam, na, nb, strict=True)))
 
 
 @dataclass(frozen=True)
@@ -120,20 +130,25 @@ def eps_lower_bound(t: FiniteTensor, duals) -> float:
         _check_same_grid(d.fa, phi[0])
         _check_same_grid(d.fb, psi[0])
     lam = np.asarray(lam, dtype=np.complex128)
-    phi_rows, psi_rows = _rows(phi), _rows(psi)
+    phi_rows, psi_rows = _flat(phi), _flat(psi)
     step = max(1, _BLOCK_SAMPLES // max(phi_rows.shape[1], psi_rows.shape[1]))
     best = 0.0
     for i in range(0, len(duals), step):
         block = duals[i : i + step]
-        pa = (_rows([d.fa for d in block]) @ phi_rows.T) * phi[0].grid.cell_volume
-        pb = (_rows([d.fb for d in block]) @ psi_rows.T) * psi[0].grid.cell_volume
+        pa = (_flat([d.fa for d in block]) @ phi_rows.T) * phi[0].grid.cell_volume
+        pb = (_flat([d.fb for d in block]) @ psi_rows.T) * psi[0].grid.cell_volume
         best = max(best, float(np.max(np.abs((pa * pb) @ lam))))
     return best
 
 
 def _rows(fs) -> np.ndarray:
+    """(J, *grid.shape) stack of the sample values of functions on one grid."""
+    return np.stack([f.values for f in fs])
+
+
+def _flat(fs) -> np.ndarray:
     """Flattened sample values of functions on one grid, one row each."""
-    return np.stack([f.values.ravel() for f in fs])
+    return _rows(fs).reshape(len(fs), -1)
 
 
 def synthesize(t: FiniteTensor, g: SampledFunction) -> SampledFunction:
@@ -147,11 +162,20 @@ def synthesize(t: FiniteTensor, g: SampledFunction) -> SampledFunction:
     return SampledFunction(g.grid, out)
 
 
-def _active_lattice(f: SampledFunction, rel_tol: float = 1e-14) -> np.ndarray:
-    """Indices of the lattice points whose windowed piece carries
-    non-negligible L2 mass."""
-    masses = _local_norms(f, make_integer_bupu(f.grid).windows, LpSpec(2.0))
-    return np.flatnonzero(masses > rel_tol * masses.max())
+def _active_pieces(f: SampledFunction, rel_tol: float = 1e-14) -> tuple:
+    """Sample shifts of the partition windows phi_k whose piece f phi_k
+    carries non-negligible L2 mass, and those pieces as one stack."""
+    b = make_integer_bupu(f.grid)
+    masses = _partition_local_norms(f.values[None], f.grid, LpSpec(2.0))[0]
+    shifts = b.shifts[np.flatnonzero(masses > rel_tol * masses.max())]
+    return shifts, f.values * _shift_stack(b.base.values.real, shifts)
+
+
+def _transformed_terms(grid: GridSpec, firsts: np.ndarray, pieces: np.ndarray) -> FiniteTensor:
+    """Terms (1, first_j, F(piece_j)), every piece transformed in one call."""
+    spectra = transform_axes(pieces, grid.spacing, -1, grid.dim)
+    pairs = zip(_share_rows(grid, firsts), _share_rows(grid.dual(), spectra))
+    return FiniteTensor(tuple((1.0 + 0.0j, u, v) for u, v in pairs))
 
 
 def decompose_splitting(f: SampledFunction) -> tuple:
@@ -164,7 +188,6 @@ def decompose_splitting(f: SampledFunction) -> tuple:
     the returned window g.
     """
     grid = f.grid
-    b = make_integer_bupu(grid)
     g = plateau(grid, 2.0, 3.0)
     c = convolve(g, g)
     ones_region = (
@@ -182,15 +205,9 @@ def decompose_splitting(f: SampledFunction) -> tuple:
             0.0,
         )
     psi = SampledFunction(grid, psi_vals)
-    steps = int(round(1.0 / grid.spacing))
-    lattice = b.lattice
-    terms = []
-    for i in _active_lattice(f):
-        counts = tuple(c_ * steps for c_ in lattice[i])
-        piece = SampledFunction(grid, f.values * b.windows[i] * _shift_values(psi.values, counts))
-        tk_g = SampledFunction(grid, _shift_values(g.values, counts))
-        terms.append((1.0 + 0.0j, tk_g, fourier(piece)))
-    return FiniteTensor(tuple(terms)), g
+    shifts, pieces = _active_pieces(f)
+    pieces *= _shift_stack(psi.values, shifts)
+    return _transformed_terms(grid, _shift_stack(g.values, shifts), pieces), g
 
 
 def decompose_mollified(f: SampledFunction) -> tuple:
@@ -198,17 +215,10 @@ def decompose_mollified(f: SampledFunction) -> tuple:
     unit-mass bump m, with synthesis window g such that m * g = 1 on
     [-1, 1]^d (hence on every window support)."""
     grid = f.grid
-    b = make_integer_bupu(grid)
     moll = bump(grid, radius=1.0, normalize="mass")
     g = plateau(grid, 2.0, 3.0)
-    steps = int(round(1.0 / grid.spacing))
-    lattice = b.lattice
-    terms = []
-    for i in _active_lattice(f):
-        piece = SampledFunction(grid, f.values * b.windows[i])
-        tk_m = SampledFunction(grid, _shift_values(moll.values, tuple(c_ * steps for c_ in lattice[i])))
-        terms.append((1.0 + 0.0j, tk_m, fourier(piece)))
-    return FiniteTensor(tuple(terms)), g
+    shifts, pieces = _active_pieces(f)
+    return _transformed_terms(grid, _shift_stack(moll.values, shifts), pieces), g
 
 
 # ---------------------------------------------------------------------------
@@ -285,23 +295,26 @@ class _DualModel:
                 raise ValueError("amalgam dual models need a spec")
             self.dual_spec = dual_amalgam_spec(spec)
 
-    def _measure(self, f: SampledFunction) -> float:
+    def _measure(self, rows: np.ndarray, grid: GridSpec) -> np.ndarray:
+        """Dual norm of every row of a (B, *grid.shape) stack."""
         if self.kind == "l2":
-            return f.norm2()
+            return np.array([np.linalg.norm(r.ravel()) for r in rows]) * grid.cell_volume**0.5
         if self.kind == "lp":
-            return lp_norm(f, self.q)
+            return lp_norms(rows, grid, self.q)
         if self.kind == "fourier_amalgam":
-            f = fourier(f)
-        return amalgam_norm_discrete(f, self.dual_spec).value * overlap_factor(self.spec, f.grid)
+            rows, grid = transform_axes(rows, grid.spacing, -1, grid.dim), grid.dual()
+        values = np.array([r.value for r in amalgam_norms(rows, grid, self.dual_spec)])
+        return values * overlap_factor(self.spec, grid)
 
-    def normalize(self, raw: SampledFunction) -> tuple:
-        """Scale so the certified pairing bound uses constant 1; returns
-        (sample, reported dual norm after normalization)."""
-        n = self._measure(raw)
-        if n == 0.0:
+    def normalize(self, rows: np.ndarray, grid: GridSpec) -> list:
+        """Scale every row of the stack in place so the certified pairing
+        bound uses constant 1, and make the stack read-only; returns the
+        rows as functions with their reported dual norms after scaling."""
+        n = self._measure(rows, grid)
+        if np.any(n == 0.0):
             raise ValueError("degenerate dual sample")
-        scaled = raw * (1.0 / n)
-        return scaled, float(self._measure(scaled))
+        rows *= (1.0 / n).reshape((-1,) + (1,) * grid.dim)
+        return list(zip(_share_rows(grid, rows), self._measure(rows, grid).tolist()))
 
 
 def make_dual_samples(
@@ -317,20 +330,26 @@ def make_dual_samples(
     the string "l2", a pair ("lp", p) or a pair ("amalgam" |
     "fourier_amalgam", AmalgamSpec). The first entry normalizes functionals
     on first factors (time grid), the second on second factors (frequency
-    grid).
+    grid). The samples are drawn one pair at a time and normalized in
+    blocks of at most ``_BLOCK_SAMPLES`` values per side; a sample's values
+    are read-only rows of its block.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     model_a = _as_model(dual_model[0])
     model_b = _as_model(dual_model[1])
     rng = np.random.default_rng(seed)
+    step = max(1, _BLOCK_SAMPLES // max(xgrid.size, xigrid.size))
     out = []
-    for _ in range(count):
-        fa_raw = random_band_limited(xgrid, rng)
-        fb_raw = random_band_limited(xigrid, rng)
-        fa, na = model_a.normalize(fa_raw)
-        fb, nb = model_b.normalize(fb_raw)
-        out.append(DualSample(fa, fb, na, nb))
+    for start in range(0, count, step):
+        size = min(step, count - start)
+        raw_a = np.empty((size, *xgrid.shape), dtype=np.complex128)
+        raw_b = np.empty((size, *xigrid.shape), dtype=np.complex128)
+        for i in range(size):
+            raw_a[i] = _band_limited_values(xgrid, rng)
+            raw_b[i] = _band_limited_values(xigrid, rng)
+        pairs = zip(model_a.normalize(raw_a, xgrid), model_b.normalize(raw_b, xigrid))
+        out += [DualSample(fa, fb, na, nb) for (fa, na), (fb, nb) in pairs]
     return out
 
 
@@ -345,8 +364,8 @@ def aligned_dual_sample(t: FiniteTensor, dual_model: tuple) -> DualSample:
         np.argmax([abs(lam) * phi.norm2() * psi.norm2() for lam, phi, psi in t.terms])
     )
     _, phi, psi = t.terms[j]
-    fa, na = model_a.normalize(phi.conj())
-    fb, nb = model_b.normalize(psi.conj())
+    (fa, na), = model_a.normalize(np.conj(phi.values)[None], phi.grid)
+    (fb, nb), = model_b.normalize(np.conj(psi.values)[None], psi.grid)
     return DualSample(fa, fb, na, nb)
 
 

@@ -164,11 +164,14 @@ def test_grid_sweep_smoke():
     assert [r.grid["N"] for r in reports] == [256, 512]
 
 
-@pytest.mark.parametrize("suite", ["thm4.2", "thm5.1"])
+@pytest.mark.parametrize(
+    "suite", ["thm4.2", "thm5.1", "lemma3.3", "cor6.1a", "cor6.1b", "rem6.2", "lemma3.4"]
+)
 @pytest.mark.parametrize("L, N", [(16.0, 512), (8.0, 512)])
 def test_tensor_suites_pass_on_grids_that_are_not_self_dual(suite, L, N):
     # the dual grid differs from the grid here, so a partition built for one
-    # side of the transform cannot stand in for the other
+    # side of the transform cannot stand in for the other; suites without
+    # dual samples ignore dual_count
     r = run_verification(suite, L=L, N=N, dual_count=32)
     assert r.passed
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from tfnorm.norms import (
     INF0,
     amalgam_norm_continuous,
     amalgam_norm_discrete,
+    amalgam_norms,
     c0_tail_profile,
     local_norm,
     lp_norm,
@@ -27,6 +29,8 @@ from tfnorm.tensor import decompose_mollified  # noqa: F401  (import order guard
 from tfnorm.transforms import fourier
 from tfnorm.weights import RadialWeight2D, TensorWeight, make_power_weight
 from tfnorm.windows import bump, gaussian, hermite_function, normalized_gaussian
+
+from oracles import direct_amalgam_discrete
 
 
 def test_lp_norm_unit_box(grid):
@@ -290,3 +294,77 @@ def test_amalgam_triangle_inequality(grid):
         + amalgam_norm_discrete(g, spec).value
     )
     assert lhs <= rhs + 1e-9
+
+
+@pytest.mark.parametrize("other", [GridSpec(1, 8.0, 256), GridSpec(1, 4.0, 1024)])
+def test_local_norm_rejects_window_on_other_grid(grid, other):
+    # (8, 256) has another size; (4, 1024) the same size but other points
+    window = make_integer_bupu(other).base
+    with pytest.raises(ValueError, match="grid mismatch"):
+        local_norm(gaussian(grid), window, LpSpec(2.0))
+
+
+@pytest.mark.parametrize("other", [GridSpec(1, 8.0, 256), GridSpec(1, 4.0, 1024)])
+def test_amalgam_continuous_rejects_chi_on_other_grid(grid, other):
+    spec = AmalgamSpec(LpSpec(2.0), GlobalSpec(1.0))
+    with pytest.raises(ValueError, match="grid mismatch"):
+        amalgam_norm_continuous(gaussian(grid), spec, make_integer_bupu(other).base)
+
+
+@pytest.mark.parametrize("samples", [0, -1, -4, 2.0, True])
+def test_amalgam_continuous_rejects_bad_samples_per_cell(grid, bupu, samples):
+    spec = AmalgamSpec(LpSpec(2.0), GlobalSpec(1.0))
+    with pytest.raises(ValueError, match="samples_per_cell must be a positive integer"):
+        amalgam_norm_continuous(gaussian(grid), spec, bupu.base, samples_per_cell=samples)
+
+
+#: (dim, L, N) with a spacing dividing 1; self-dual when N = 4 L^2
+_ORACLE_GRIDS = [
+    (1, 2.0, 16), (1, 4.0, 64), (1, 4.0, 32), (1, 4.0, 128), (1, 3.0, 12),
+    (2, 2.0, 16), (2, 2.0, 8), (2, 3.0, 12),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.sampled_from(_ORACLE_GRIDS),
+    local=st.sampled_from(["L", "C0", "FL"]),
+    p=st.sampled_from([1.0, 1.5, 2.0, math.inf]),
+    s_local=st.sampled_from([0.0, 0.5, -1.0]),
+    gp=st.sampled_from([1.0, 2.0, math.inf, INF0]),
+    s_glob=st.sampled_from([0.0, 1.0, -0.5]),
+    zero_rows=st.lists(st.booleans(), min_size=1, max_size=5),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_amalgam_stack_matches_window_loop(shape, local, p, s_local, gp, s_glob, zero_rows, seed):
+    grid = GridSpec(*shape)
+    w = make_power_weight(s_local)
+    spec_local = {"L": LpSpec(p, w), "C0": C0Spec(w), "FL": FLpSpec(p, w)}[local]
+    spec = AmalgamSpec(spec_local, GlobalSpec(gp, make_power_weight(s_glob)))
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((len(zero_rows), *grid.shape)) + 1j * rng.standard_normal(
+        (len(zero_rows), *grid.shape)
+    )
+    rows[np.asarray(zero_rows)] = 0.0
+    got = amalgam_norms(rows, grid, spec)
+    assert len(got) == len(rows)
+    for row, res in zip(rows, got):
+        want = direct_amalgam_discrete(SampledFunction(grid, row), spec)
+        assert res.value == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert res.value == amalgam_norm_discrete(SampledFunction(grid, row), spec).value
+
+
+def test_2d_lp_amalgam_reduces_on_window_boxes():
+    # the full window stack of this grid is 1,225 x 128 x 128 x 8 bytes
+    # (153 MB); L^p local norms read only each window's 7 x 7 support box
+    grid = GridSpec(2, 16.0, 128)
+    f = SampledFunction(grid, np.exp(-np.pi * grid.radii() ** 2))
+    spec = AmalgamSpec(LpSpec(2.0, make_power_weight(1.0)), GlobalSpec(1.0))
+    tracemalloc.start()
+    try:
+        value = amalgam_norm_discrete(f, spec).value
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert value > 0.0

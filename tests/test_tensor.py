@@ -6,9 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tfnorm.family import random_smooth
+from tfnorm.family import random_band_limited, random_smooth
 from tfnorm.grid import GridSpec, SampledFunction
-from tfnorm.norms import AmalgamSpec, GlobalSpec, INF0, amalgam_norm_discrete, lp_norm
+from tfnorm.norms import (
+    AmalgamSpec,
+    GlobalSpec,
+    INF0,
+    amalgam_norm_discrete,
+    amalgam_norms,
+    lp_norm,
+    lp_norms,
+)
 from tfnorm.spaces import FLpSpec, LpSpec
 from tfnorm.stft import adjoint_stft, rank_one_tf
 from tfnorm.tensor import (
@@ -24,26 +32,27 @@ from tfnorm.tensor import (
     pi_upper_bound,
     synthesize,
 )
-from tfnorm.transforms import convolve, fourier, inverse_fourier
+from tfnorm.transforms import convolve, fourier, transform_axes
 from tfnorm.weights import make_power_weight
 from tfnorm.windows import bump, gaussian, normalized_gaussian
 
 
-def l2norm(u):
-    return u.norm2()
+def l2norms(rows, grid):
+    """Stack form of ``SampledFunction.norm2`` for ``pi_upper_bound``."""
+    return np.linalg.norm(rows.reshape(len(rows), -1), axis=1) * grid.cell_volume**0.5
 
 
 def test_pi_upper_rank_one(grid):
     phi = gaussian(grid, a=1.0)
     psi = fourier(gaussian(grid, a=2.0))
     t = FiniteTensor(((1.0, phi, psi),))
-    assert pi_upper_bound(t, l2norm, l2norm) == pytest.approx(
+    assert pi_upper_bound(t, l2norms, l2norms) == pytest.approx(
         phi.norm2() * psi.norm2(), rel=1e-12
     )
 
 
 def test_pi_upper_empty():
-    assert pi_upper_bound(FiniteTensor(()), l2norm, l2norm) == 0.0
+    assert pi_upper_bound(FiniteTensor(()), l2norms, l2norms) == 0.0
 
 
 def test_pi_upper_redundant_terms(grid):
@@ -51,8 +60,8 @@ def test_pi_upper_redundant_terms(grid):
     psi = fourier(gaussian(grid, a=2.0))
     single = FiniteTensor(((1.0, phi, psi),))
     double = FiniteTensor(((0.5, phi, psi), (0.5, phi, psi)))
-    assert pi_upper_bound(double, l2norm, l2norm) == pytest.approx(
-        pi_upper_bound(single, l2norm, l2norm), rel=1e-12
+    assert pi_upper_bound(double, l2norms, l2norms) == pytest.approx(
+        pi_upper_bound(single, l2norms, l2norms), rel=1e-12
     )
 
 
@@ -150,7 +159,7 @@ def test_eps_aligned_rank_one_reaches_pi(grid):
     t = FiniteTensor(((1.0, phi, psi),))
     duals = [aligned_dual_sample(t, ("l2", "l2"))]
     eps = eps_lower_bound(t, duals)
-    pi = pi_upper_bound(t, l2norm, l2norm)
+    pi = pi_upper_bound(t, l2norms, l2norms)
     assert eps >= pi * (1.0 - 1e-3)
     assert eps <= pi + 1e-12
 
@@ -169,6 +178,40 @@ def test_dual_samples_unit_norm(grid):
     for d in make_dual_samples(4, 7, model, grid, grid.dual()):
         assert d.norm_a == pytest.approx(1.0, abs=1e-9)
         assert d.norm_b == pytest.approx(1.0, abs=1e-9)
+
+
+def _one_at_a_time(kind):
+    """A dual model and the measures of its two sides, one function at a time."""
+    spec = AmalgamSpec(LpSpec(2.0), GlobalSpec(2.0, make_power_weight(1.0)))
+    if kind == "lp":
+        return (("lp", 3.0), ("lp", 3.0)), lambda f: lp_norm(f, 1.5), lambda f: lp_norm(f, 1.5)
+    dual = dual_amalgam_spec(spec)
+
+    def measure(u):
+        return amalgam_norm_discrete(u, dual).value * overlap_factor(spec, u.grid)
+
+    model = (("amalgam", spec), ("fourier_amalgam", spec))
+    return model, measure, lambda f: measure(fourier(f))
+
+
+@pytest.mark.parametrize("kind", ["amalgam", "lp"])
+@pytest.mark.parametrize("count", [1, 63, 64, 65, 129])
+def test_dual_samples_blocked_match_one_at_a_time(grid, kind, count):
+    # 64 duals fill one block at N=1024: 63/64/65/129 end on a partial, an
+    # exactly full and a one-row last block
+    model, measure_a, measure_b = _one_at_a_time(kind)
+    got = make_dual_samples(count, 19, model, grid, grid.dual())
+    assert isinstance(got, list) and len(got) == count
+    rng = np.random.default_rng(19)
+    for d in got:
+        fa = random_band_limited(grid, rng)
+        fb = random_band_limited(grid.dual(), rng)
+        sides = ((fa, measure_a, d.fa, d.norm_a), (fb, measure_b, d.fb, d.norm_b))
+        for raw, measure, sample, norm in sides:
+            scaled = raw * (1.0 / measure(raw))
+            assert np.array_equal(sample.values, scaled.values)
+            assert norm == measure(scaled)
+            assert not sample.values.flags.writeable
 
 
 def test_dual_samples_reject_zero_count(grid):
@@ -241,7 +284,8 @@ def test_splitting_pi_bound_vs_amalgam(grid):
         for a in (0.5, 1.0, 2.0):
             f = gaussian(grid, a=a)
             t, _ = decompose_splitting(f)
-            pi = pi_upper_bound(t, lambda u: lp_norm(u, p), lambda v: lp_norm(v, p))
+            lp = lambda rows, g: lp_norms(rows, g, p)
+            pi = pi_upper_bound(t, lp, lp)
             am = amalgam_norm_discrete(f, target).value
             ratios.append(pi / am)
         assert max(ratios) / min(ratios) <= 10.0
@@ -270,8 +314,10 @@ def test_eps_leq_pi_with_certified_amalgam_duals(grid, family_small):
     spec_e = AmalgamSpec(LpSpec(2.0), GlobalSpec(2.0))
     model = (("amalgam", spec_f), ("fourier_amalgam", spec_e))
     duals = make_dual_samples(32, 5, model, grid, grid.dual())
-    norm_a = lambda u: amalgam_norm_discrete(u, spec_f).value
-    norm_b = lambda v: amalgam_norm_discrete(inverse_fourier(v), spec_e).value
+    norm_a = lambda rows, g: [r.value for r in amalgam_norms(rows, g, spec_f)]
+    norm_b = lambda rows, g: [
+        r.value for r in amalgam_norms(transform_axes(rows, g.spacing, +1, g.dim), g.dual(), spec_e)
+    ]
     for name, f in family_small:
         t, _ = decompose_mollified(f)
         eps = eps_lower_bound(t, duals + [aligned_dual_sample(t, model)])
@@ -311,5 +357,5 @@ def test_eps_leq_pi_random_l2_model(seed):
     duals = make_dual_samples(16, seed, ("l2", "l2"), grid, grid.dual())
     duals.append(aligned_dual_sample(t, ("l2", "l2")))
     eps = eps_lower_bound(t, duals)
-    pi = pi_upper_bound(t, l2norm, l2norm)
+    pi = pi_upper_bound(t, l2norms, l2norms)
     assert eps <= pi * (1.0 + 1e-12)
