@@ -43,8 +43,8 @@ def _add_verify_flags(p: argparse.ArgumentParser):
     p.add_argument("--s", type=float, default=None, help="weight power")
     p.add_argument("--s1", type=float, default=None)
     p.add_argument("--s2", type=float, default=None)
-    p.add_argument("--local", default=None, help="local component (L1, L2, FL2, C0)")
-    p.add_argument("--E", dest="E", default=None, help="local component of the target amalgam")
+    p.add_argument("--local", default=None, help="lemma3.3 local atom, e.g. L1, FL3[1], C0[2]")
+    p.add_argument("--E", dest="E", default=None, help="thm4.2/thm5.1 local atom, e.g. FL3, C0[1]")
     p.add_argument("--N", type=int, default=None, help="samples per axis")
     p.add_argument("--L", type=float, default=None, help="domain half width")
     p.add_argument("--seed", type=int, default=None)
@@ -56,9 +56,13 @@ def _add_verify_flags(p: argparse.ArgumentParser):
 
 
 def _exponent_arg(v):
+    """A number, or the text itself ("inf", "inf0", or one the suite rejects)."""
     if v in ("inf", "inf0"):
         return v
-    return float(v)
+    try:
+        return float(v)
+    except ValueError:
+        return v
 
 
 def _load_input(path: str):
@@ -129,24 +133,11 @@ def _cmd_verify(args) -> int:
             print(f"{tid:18s} {SUITE_LOCATIONS[tid]}")
         return 0
     cfg = {}
-    for key in ("p1", "p2", "p"):
+    for key in ("p1", "p2", "p", "s", "s1", "s2", "local", "E", "N", "L", "seed", "dual_count",
+                "spread_bound", "tol"):
         v = getattr(args, key)
         if v is not None:
-            cfg[key] = _exponent_arg(v)
-    for key in ("s", "s1", "s2", "L", "tol"):
-        v = getattr(args, key)
-        if v is not None:
-            cfg[key] = v
-    for key, attr in (("local", "local"), ("E", "E")):
-        v = getattr(args, attr)
-        if v is not None:
-            cfg[key] = v
-    for key, attr in (("N", "N"), ("seed", "seed"), ("dual_count", "dual_count")):
-        v = getattr(args, attr)
-        if v is not None:
-            cfg[key] = v
-    if args.spread_bound is not None:
-        cfg["spread_bound"] = args.spread_bound
+            cfg[key] = _exponent_arg(v) if key in ("p1", "p2", "p") else v
     try:
         report = run_verification(args.theorem_id, **cfg)
     except ConfigError as e:

@@ -4,6 +4,9 @@ Atoms and amalgams of atoms evaluate directly; composite expressions (Mod
 of tensors, duals, Shubin atoms) are normalized first and the normal form
 is evaluated when it is concrete. Fourier wrappers change the carrier:
 ||f||_{F(X)} = ||F^(-1) f||_X and conversely.
+
+The numeric specs of every expression, stacks of tensor factors and their
+dual-sample models included, are built here.
 """
 
 from __future__ import annotations
@@ -19,17 +22,19 @@ from .norms import (
     INF0,
     NormResult,
     amalgam_norm_discrete,
+    amalgam_norms,
     c0_tail_profile,
     lp_norm,
+    lp_norms,
     modulation_norm,
     shubin_norm,
 )
 from .spaces import C0Spec, FLpSpec, LpSpec
-from .transforms import fourier, inverse_fourier
+from .transforms import fourier, inverse_fourier, transform_axes
 from .weights import PowerWeight, RadialWeight2D, TensorWeight
 from .windows import normalized_gaussian
 
-__all__ = ["eval_space_norm", "UnsupportedSpaceError"]
+__all__ = ["eval_space_norm", "stack_evaluator", "stack_dual_model", "UnsupportedSpaceError"]
 
 
 class UnsupportedSpaceError(ValueError):
@@ -45,15 +50,20 @@ def _exponent(p):
 
 
 def _local_spec(e):
-    if isinstance(e, A.Lp) and not isinstance(e.p, str) and e.p != A.INF:
-        return LpSpec(float(e.p), PowerWeight(e.s))
     if isinstance(e, A.Lp):
-        return LpSpec(math.inf, PowerWeight(e.s))
+        return LpSpec(math.inf if e.p == A.INF0 else _exponent(e.p), PowerWeight(e.s))
     if isinstance(e, A.FL) and isinstance(e.inner, A.Lp):
         return FLpSpec(_exponent(e.inner.p), PowerWeight(e.inner.s))
     if isinstance(e, A.C0):
         return C0Spec(PowerWeight(e.s))
     return None
+
+
+def _amalgam_spec(e: A.Amalgam) -> AmalgamSpec:
+    local = _local_spec(e.local)
+    if local is None:
+        raise UnsupportedSpaceError(f"amalgam local component {A.render(e.local)} is not an atom")
+    return AmalgamSpec(local, GlobalSpec(_exponent(e.gp), PowerWeight(e.gs)))
 
 
 def _eval(e, f: SampledFunction) -> NormResult:
@@ -82,13 +92,7 @@ def _eval(e, f: SampledFunction) -> NormResult:
     if isinstance(e, A.FLinv):
         return _eval(e.inner, fourier(f))
     if isinstance(e, A.Amalgam):
-        local = _local_spec(e.local)
-        if local is None:
-            raise UnsupportedSpaceError(
-                f"amalgam local component {A.render(e.local)} is not an atom"
-            )
-        spec = AmalgamSpec(local, GlobalSpec(_exponent(e.gp), PowerWeight(e.gs)))
-        return amalgam_norm_discrete(f, spec)
+        return amalgam_norm_discrete(f, _amalgam_spec(e))
     if isinstance(e, A.Mpq):
         if isinstance(e.p, str) or isinstance(e.q, str):
             raise UnsupportedSpaceError("modulation atom needs finite or inf exponents")
@@ -101,6 +105,35 @@ def _eval(e, f: SampledFunction) -> NormResult:
     if isinstance(e, A.Qs):
         return shubin_norm(f, e.s)
     raise UnsupportedSpaceError(f"no concrete norm for {A.render(e)}")
+
+
+def stack_evaluator(e):
+    """(rows, grid) -> the norm in ``e`` of every row of a (B, *grid.shape)
+    stack, for L^p atoms, amalgams of atoms and F(X) of those, measured as
+    ||F^(-1) row||_X on the dual grid; specs are built once, here."""
+    if isinstance(e, A.Lp):
+        p, w = _exponent(e.p), PowerWeight(e.s)
+        return lambda rows, grid: lp_norms(rows, grid, p, w)
+    if isinstance(e, A.FL):
+        inner = stack_evaluator(e.inner)
+        return lambda rows, g: inner(transform_axes(rows, g.spacing, +1, g.dim), g.dual())
+    if isinstance(e, A.Amalgam):
+        spec = _amalgam_spec(e)
+        return lambda rows, grid: [r.value for r in amalgam_norms(rows, grid, spec)]
+    raise UnsupportedSpaceError(f"no stack norm for {A.render(e)}")
+
+
+def stack_dual_model(e) -> tuple:
+    """Dual-sample descriptor for tensor factors in the space ``e``:
+    ("lp", p) for an unweighted L^p, ("amalgam", spec) for an amalgam and
+    ("fourier_amalgam", spec) for F(amalgam)."""
+    if isinstance(e, A.Lp) and e.s == 0.0:
+        return ("lp", _exponent(e.p))
+    if isinstance(e, A.Amalgam):
+        return ("amalgam", _amalgam_spec(e))
+    if isinstance(e, A.FL) and isinstance(e.inner, A.Amalgam):
+        return ("fourier_amalgam", _amalgam_spec(e.inner))
+    raise UnsupportedSpaceError(f"no dual-sample model for {A.render(e)}")
 
 
 def eval_space_norm(expr, f: SampledFunction) -> tuple:

@@ -36,8 +36,8 @@ class GridSpec:
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
-        if self.half_width <= 0:
-            raise ValueError("half_width must be positive")
+        if not 0 < self.half_width < float("inf"):  # also refuses NaN
+            raise ValueError(f"half_width must be positive and finite, got {self.half_width}")
         if self.n <= 0 or self.n % 2 != 0:
             raise ValueError(f"n must be a positive even integer, got {self.n}")
 

@@ -1,14 +1,25 @@
 """Verification suites: run one identity check over the test family and
-report the empirical two-sided constants.
+report the empirical constants.
 
 The identities hold with unspecified equivalence constants, so a suite
-never asserts a numeric value; it computes the per-function ratio between
-two independently evaluated norms and passes when the ratio spread
-(max/min) stays under the configured bound (default 10, or 100 for
-sampled lower-bound suites), or, for identity-type suites, when residuals
-stay under a stated tolerance. Reports are deterministic given (seed,
-config) and serialize byte-identically; the runtime field stays in memory
-only.
+never asserts a numeric value. It computes per-function ratios of two
+independently evaluated norms; a case passes when their spread (max/min)
+stays under the configured bound (default 10, or 100 for sampled
+lower-bound suites), or, for ``ordering`` and residual cases, when the
+largest ratio stays under 1.
+
+Theorems 4.2 (pi) and 5.1 (eps) and their L^p instances, Corollary
+6.1(a)/(b), are the rows of one table, ``SANDWICHES``. A row builds the
+factor spaces A and B from the config; the suite's rule in
+``RULE_NUMERIC_SUITE``, applied once per run to Mod(A op B), is the
+hypothesis check and gives the target X. The pi sandwich compares the pi
+bound of each member's decomposition with ||f||_X (``lower``) and
+||synthesis||_X of seeded smooth tensors with their pi bound (``upper``);
+the eps sandwich compares the eps lower bound from seeded dual samples
+with the pi bound (``ordering``: eps <= pi) and with ||f||_X (``lower``).
+
+Reports are deterministic given (seed, config) and serialize
+byte-identically; the runtime field stays in memory only.
 """
 
 from __future__ import annotations
@@ -18,29 +29,28 @@ import json
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from .bupu import SpacingError, make_integer_bupu, validate_bupu
-from .family import test_family, random_smooth
+from .evaluate import _amalgam_spec, _local_spec, stack_dual_model, stack_evaluator
+from .family import test_family
 from .grid import GridSpec
+from .identify import ast as A
 from .identify.engine import normalize, trace_to_json
 from .identify.parser import parse_space
-from .identify.rules import RULE_NUMERIC_SUITE
+from .identify.rules import RULE_NUMERIC_SUITE, RULE_TABLE
 from .norms import (
-    AmalgamSpec,
-    GlobalSpec,
     INF0,
     amalgam_norm_discrete,
     amalgam_norm_continuous,
-    amalgam_norms,
     lp_norm,
-    lp_norms,
     mixed_norm,
     modulation_norm_via_amalgam,
 )
-from .spaces import C0Spec, FLpSpec, LpSpec
 from .stft import stft, check_inversion
 from .tensor import (
     FiniteTensor,
@@ -52,13 +62,7 @@ from .tensor import (
     pi_upper_bound,
     synthesize,
 )
-from .transforms import (
-    approx_identity_gn,
-    fourier,
-    hermite_projector,
-    inverse_fourier,
-    transform_axes,
-)
+from .transforms import approx_identity_gn, fourier, hermite_projector, inverse_fourier
 from .weights import PowerWeight, RadialWeight2D, TensorWeight
 from .windows import gaussian, normalized_gaussian, plateau
 
@@ -91,18 +95,9 @@ class VerificationReport:
     runtime_s: float = 0.0  # in-memory only; excluded from serialization
 
     def to_dict(self) -> dict:
-        return {
-            "theorem_id": self.theorem_id,
-            "location": self.location,
-            "config": self.config,
-            "grid": self.grid,
-            "seed": self.seed,
-            "verifies_rule": self.verifies_rule,
-            "rows": self.rows,
-            "stats": self.stats,
-            "bounds": self.bounds,
-            "passed": self.passed,
-        }
+        keys = ("theorem_id", "location", "config", "grid", "seed", "verifies_rule",
+                "rows", "stats", "bounds", "passed")
+        return {k: getattr(self, k) for k in keys}
 
 
 def emit_report(report: VerificationReport, format: str = "json") -> bytes:
@@ -131,7 +126,7 @@ def emit_report(report: VerificationReport, format: str = "json") -> bytes:
 def _grid_from_config(cfg: dict) -> GridSpec:
     try:
         return GridSpec(1, float(cfg.get("L", 16.0)), int(cfg.get("N", 1024)))
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
         raise ConfigError(f"invalid grid: {e}") from None
 
 
@@ -164,58 +159,74 @@ def _max_case(rows, case: str, bound: float):
 
 
 def _row(case, name, lhs, rhs):
-    ratio = None
-    if rhs not in (None, 0.0):
-        ratio = lhs / rhs
-    return {
-        "case": case,
-        "name": name,
-        "lhs": float(lhs),
-        "rhs": float(rhs) if rhs is not None else None,
-        "ratio": None if ratio is None else float(ratio),
-    }
+    ratio = None if rhs in (None, 0.0) else float(lhs / rhs)
+    rhs = None if rhs is None else float(rhs)
+    return {"case": case, "name": name, "lhs": float(lhs), "rhs": rhs, "ratio": ratio}
 
 
 def _exponent_cfg(value):
     """Parse an exponent config entry: number, 'inf' or 'inf0'."""
     if value == "inf":
         return math.inf
-    if value == INF0 or value == "inf0":
+    if value == INF0:
         return INF0
-    p = float(value)
+    try:
+        p = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"exponent {value!r} must be a number, 'inf' or 'inf0'") from None
     if not 1.0 <= p:
         raise ConfigError(f"exponent {value!r} must be at least 1")
     return p
 
 
-def _local_from_name(name: str, s: float = 0.0):
-    table = {
-        "L1": LpSpec(1.0, PowerWeight(s)),
-        "L2": LpSpec(2.0, PowerWeight(s)),
-        "FL2": FLpSpec(2.0, PowerWeight(s)),
-        "C0": C0Spec(PowerWeight(s)),
-    }
-    if name not in table:
-        raise ConfigError(f"unknown local component {name!r}; choose from {sorted(table)}")
-    return table[name]
+def _float_cfg(cfg: dict, key: str, default: float) -> float:
+    try:
+        value = float(cfg.get(key, default))
+    except (TypeError, ValueError):
+        value = math.nan  # refused below, as a NaN entry is
+    if math.isnan(value):
+        raise ConfigError(f"{key} must be a number, got {cfg[key]!r}")
+    return value
+
+
+def _local_cfg(cfg: dict, key: str):
+    """The local-component atom that ``cfg[key]`` names (default L2), parsed."""
+    text = str(cfg.get(key, "L2"))
+    try:
+        atom = parse_space(text)
+        if _local_spec(atom) is None:
+            raise ValueError("not a local atom (Lp, FLp or C0, weighted or not)")
+    except ValueError as e:
+        raise ConfigError(f"{key}={text!r}: {e}") from None
+    return atom
+
+
+def _summarize(rows, checks: dict) -> tuple:
+    """(rows, stats, bounds, passed) of a suite whose ``checks`` map each
+    case, in report order, to its (check, bound)."""
+    stats, bounds, ok = {}, {}, True
+    for case, (check, bound) in checks.items():
+        stats[case], bounds[case], good = check(rows, case, bound)
+        ok = ok and good
+    return rows, stats, bounds, ok
 
 
 def _smooth_tensors(grid: GridSpec, seed: int, count: int = 8) -> list:
     """Seeded finite tensors with smooth nonnegative-type factors (no
     cancellation between terms), for upper-direction checks."""
     rng = np.random.default_rng(seed)
-    dual = grid.dual()
+
+    def draw_gaussian():
+        a = float(rng.uniform(0.5, 3.0))
+        return gaussian(grid, a=a, center=float(rng.uniform(-2.0, 2.0)))
+
     out = []
     for i in range(count):
         rank = 1 + int(rng.integers(0, 3))
         terms = []
         for _ in range(rank):
-            a = float(rng.uniform(0.5, 3.0))
-            c = float(rng.uniform(-2.0, 2.0))
-            phi = gaussian(grid, a=a, center=c)
-            a2 = float(rng.uniform(0.5, 3.0))
-            c2 = float(rng.uniform(-2.0, 2.0))
-            psi = fourier(gaussian(grid, a=a2, center=c2))
+            phi = draw_gaussian()
+            psi = fourier(draw_gaussian())
             lam = float(rng.uniform(0.5, 1.5)) / rank
             terms.append((lam + 0.0j, phi, psi))
         out.append((f"tensor_{i}", FiniteTensor(tuple(terms))))
@@ -228,13 +239,12 @@ def _smooth_tensors(grid: GridSpec, seed: int, count: int = 8) -> list:
 
 def _suite_stft_inversion(cfg):
     grid = _grid_from_config(cfg)
-    tol = float(cfg.get("tol", 1e-6))
+    tol = _float_cfg(cfg, "tol", 1e-6)
     g = normalized_gaussian(grid)
     rows = []
     for name, f in test_family(grid, seed=int(cfg.get("seed", 0))):
         rows.append(_row("residual", name, check_inversion(f, g, g), tol))
-    st, bound, ok = _max_case(rows, "residual", 1.0)
-    return rows, {"residual": st}, {"residual": bound}, ok
+    return _summarize(rows, {"residual": (_max_case, 1.0)})
 
 
 def _suite_lemma21(cfg):
@@ -256,7 +266,7 @@ def _suite_lemma21(cfg):
 
 def _suite_bupu(cfg):
     grid = _grid_from_config(cfg)
-    rep = validate_bupu(make_integer_bupu(grid), PowerWeight(float(cfg.get("s", 0.0))))
+    rep = validate_bupu(make_integer_bupu(grid), PowerWeight(_float_cfg(cfg, "s", 0.0)))
     rows = [
         _row("axiom", "partition_defect", rep.max_partition_defect, 1e-12),
         _row("axiom", "support_violations", float(rep.support_violation_count), 1.0),
@@ -275,215 +285,131 @@ def _suite_bupu(cfg):
 
 def _suite_lemma33(cfg):
     grid = _grid_from_config(cfg)
-    local = _local_from_name(str(cfg.get("local", "L2")))
     gp = _exponent_cfg(cfg.get("p", 1.0))
-    gs = float(cfg.get("s", 0.0))
-    bound = float(cfg.get("spread_bound", 10.0))
-    spec = AmalgamSpec(local, GlobalSpec(gp, PowerWeight(gs)))
+    bound = _float_cfg(cfg, "spread_bound", 10.0)
+    spec = _amalgam_spec(A.Amalgam(_local_cfg(cfg, "local"), gp, _float_cfg(cfg, "s", 0.0)))
     chi = make_integer_bupu(grid).base
     rows = []
     for name, f in test_family(grid, seed=int(cfg.get("seed", 0))):
         disc = amalgam_norm_discrete(f, spec).value
         cont = amalgam_norm_continuous(f, spec, chi).value
         rows.append(_row("ratio", name, disc, cont))
-    st, bnd, ok = _spread_case(rows, "ratio", bound)
-    return rows, {"ratio": st}, {"ratio": bnd}, ok
+    return _summarize(rows, {"ratio": (_spread_case, bound)})
 
 
 def _suite_lemma34(cfg):
     grid = _grid_from_config(cfg)
     p1 = _exponent_cfg(cfg.get("p1", 2.0))
     p2 = _exponent_cfg(cfg.get("p2", 2.0))
-    for p in (p1, p2):
-        if isinstance(p, str) or p == math.inf:
-            raise ConfigError("hypothesis: p1, p2 in [1, inf) (Lemma 3.4)")
-    s1 = float(cfg.get("s1", 0.0))
-    s2 = float(cfg.get("s2", 0.0))
-    bound = float(cfg.get("spread_bound", 10.0))
-    w1, w2 = PowerWeight(s1), PowerWeight(s2)
+    if any(isinstance(p, str) or p == math.inf for p in (p1, p2)):
+        raise ConfigError("hypothesis: p1, p2 in [1, inf) (Lemma 3.4)")
+    bound = _float_cfg(cfg, "spread_bound", 10.0)
+    w1, w2 = PowerWeight(_float_cfg(cfg, "s1", 0.0)), PowerWeight(_float_cfg(cfg, "s2", 0.0))
     g = normalized_gaussian(grid)
     rows = []
     for name, f in test_family(grid, seed=int(cfg.get("seed", 0))):
         direct = mixed_norm(stft(f, g), p1, p2, TensorWeight(w1, w2))
         via = modulation_norm_via_amalgam(f, p1, p2, w1, w2).value
         rows.append(_row("ratio", name, direct, via))
-    st, bnd, ok = _spread_case(rows, "ratio", bound)
-    return rows, {"ratio": st}, {"ratio": bnd}, ok
+    return _summarize(rows, {"ratio": (_spread_case, bound)})
 
 
-def _thm42_exponents(cfg):
-    p1 = _exponent_cfg(cfg.get("p1", 1.0))
-    p2 = _exponent_cfg(cfg.get("p2", 1.0))
-    if p1 == math.inf or p2 == math.inf:
-        raise ConfigError(
-            "hypothesis: exponents must be finite or the vanishing pair "
-            "(1, inf0)/(inf0, 1) (Theorem 4.2)"
-        )
-    finite = not isinstance(p1, str) and not isinstance(p2, str)
-    if finite and 1.0 / p1 + 1.0 / p2 < 1.0:
-        raise ConfigError("hypothesis violated: p1^{-1} + p2^{-1} >= 1 (Theorem 4.2(i))")
-    if not finite and not (
-        (p1 == INF0 and p2 == 1.0) or (p1 == 1.0 and p2 == INF0)
-    ):
-        raise ConfigError(
-            "hypothesis violated: vanishing globals pair only as (inf0, 1) or "
-            "(1, inf0) (Theorem 4.2(ii)/(iii))"
-        )
-    return p1, p2
+def _amalgam_factors(cfg, p1, p2):
+    """W(L2, l^p1[s1]) and F(W(E, l^p2[s2])): the factors of Theorems 4.2 and 5.1."""
+    a = A.Amalgam(A.Lp(2.0), p1, _float_cfg(cfg, "s1", 0.0))
+    return a, A.FL(A.Amalgam(_local_cfg(cfg, "E"), p2, _float_cfg(cfg, "s2", 0.0)))
 
 
-def _factor_amalgams(cfg, p1, p2, target_p):
-    """The amalgams of Theorems 4.2 and 5.1: W(L2, l^p1_s1) for first factors,
-    W(E, l^p2_s2) for F^(-1) of second factors, the target
-    W(E, l^target_p_{s1+s2}), and the two stack norms of the pi bound."""
-    s1 = float(cfg.get("s1", 0.0))
-    s2 = float(cfg.get("s2", 0.0))
-    local_e = _local_from_name(str(cfg.get("E", "L2")))
-    spec_f = AmalgamSpec(LpSpec(2.0), GlobalSpec(p1, PowerWeight(s1)))
-    spec_e = AmalgamSpec(local_e, GlobalSpec(p2, PowerWeight(s2)))
-    target = AmalgamSpec(local_e, GlobalSpec(target_p, PowerWeight(s1 + s2)))
-
-    def norm_a(rows, grid):
-        return [r.value for r in amalgam_norms(rows, grid, spec_f)]
-
-    def norm_b(rows, grid):
-        spectra = transform_axes(rows, grid.spacing, +1, grid.dim)
-        return [r.value for r in amalgam_norms(spectra, grid.dual(), spec_e)]
-
-    return spec_f, spec_e, target, norm_a, norm_b
+class _Sandwich(NamedTuple):
+    factors: object  # (cfg, p1, p2) -> the factor spaces (A, B)
+    op: type  # A.TensorPi or A.TensorEps
+    decompose: str  # "mollified" or "splitting"; named, so a patched module function applies
+    seed_offset: int  # of the smooth tensors (pi) or the dual samples (eps)
+    exponents: tuple  # default (p1, p2)
+    spread_bound: float  # default
+    hypothesis: str  # ConfigError text for configs the suite's rule does not match
 
 
-def _lp_values(p: float):
-    """Stack norm for ``pi_upper_bound``: the L^p norm of every row."""
-    return lambda rows, grid: lp_norms(rows, grid, p)
+SANDWICHES = {
+    "thm4.2": _Sandwich(
+        _amalgam_factors, A.TensorPi, "mollified", 1, (1.0, 1.0), 10.0,
+        "hypothesis violated: p1^{-1} + p2^{-1} >= 1 with finite exponents, or the "
+        "vanishing pair (1, inf0)/(inf0, 1) (Theorem 4.2)",
+    ),
+    "thm5.1": _Sandwich(
+        _amalgam_factors, A.TensorEps, "mollified", 17, (2.0, 2.0), 100.0,
+        "hypothesis violated: p1, p2 in (1, inf) with p1^{-1} + p2^{-1} <= 1 "
+        "(Theorem 5.1(i)), or vanishing globals",
+    ),
+    "cor6.1a": _Sandwich(
+        lambda cfg, p1, p2: (A.Lp(p1), A.Lp(p2)), A.TensorPi, "splitting", 3, (1.0, 2.0), 10.0,
+        "hypothesis violated: 1 <= p1 <= p2 <= 2 (Corollary 6.1(a))",
+    ),
+    "cor6.1b": _Sandwich(
+        lambda cfg, p1, p2: (A.Lp(p1), A.Lp(p2)), A.TensorEps, "splitting", 29, (2.0, 2.0), 100.0,
+        "hypothesis violated: 2 <= p2 <= p1 < inf (Corollary 6.1(b))",
+    ),
+}
+
+#: the rule each suite verifies: RULE_NUMERIC_SUITE read backwards
+_SUITE_RULE = {suite: rule for rule, suite in RULE_NUMERIC_SUITE.items()}
 
 
-def _suite_thm42(cfg):
-    grid = _grid_from_config(cfg)
-    p1, p2 = _thm42_exponents(cfg)
-    _, _, target, norm_a, norm_b = _factor_amalgams(cfg, p1, p2, 1.0)
-    bound = float(cfg.get("spread_bound", 10.0))
-    seed = int(cfg.get("seed", 0))
+def _rule_instance(suite: str, cfg: dict) -> tuple:
+    """Hypothesis step of a sandwich: the factors (A, B) the config names and
+    the target X of the suite's rule Mod(A op B) = X."""
+    row = SANDWICHES[suite]
+    p1, p2 = (_exponent_cfg(cfg.get(k, d)) for k, d in zip(("p1", "p2"), row.exponents))
+    a, b = row.factors(cfg, p1, p2)
+    target = RULE_TABLE[_SUITE_RULE[suite]].apply(A.Mod(row.op(a, b)))
+    if target is None:
+        raise ConfigError(row.hypothesis)
+    return a, b, target
 
-    rows = []
-    for name, f in test_family(grid, seed=seed):
-        tensor, _ = decompose_mollified(f)
-        upper = pi_upper_bound(tensor, norm_a, norm_b)
-        target_norm = amalgam_norm_discrete(f, target).value
-        rows.append(_row("lower", name, upper, target_norm))
 
+def _start(suite: str, cfg: dict) -> tuple:
+    """A sandwich run past its hypothesis step: (row, grid, seed, spread
+    bound, factors (A, B), decomposition of a member, pi bound of a tensor
+    with factors measured in A and B, norm in X of a function)."""
+    row = SANDWICHES[suite]
+    a, b, target = _rule_instance(suite, cfg)
+    norms = (stack_evaluator(a), stack_evaluator(b))
+    spec_x = _amalgam_spec(target)
+    decompose = decompose_mollified if row.decompose == "mollified" else decompose_splitting
+    return (
+        row, _grid_from_config(cfg), int(cfg.get("seed", 0)),
+        _float_cfg(cfg, "spread_bound", row.spread_bound), (a, b),
+        lambda f: decompose(f)[0],
+        lambda tensor: pi_upper_bound(tensor, *norms),
+        lambda f: amalgam_norm_discrete(f, spec_x).value,
+    )
+
+
+def _pi_sandwich(suite: str, cfg: dict):
+    row, grid, seed, bound, _, decompose, pi, norm_x = _start(suite, cfg)
+    family = test_family(grid, seed=seed)
+    rows = [_row("lower", name, pi(decompose(f)), norm_x(f)) for name, f in family]
     g_syn = plateau(grid, 2.0, 3.0)
-    for name, tensor in _smooth_tensors(grid, seed + 1):
-        pi_val = pi_upper_bound(tensor, norm_a, norm_b)
-        syn = amalgam_norm_discrete(synthesize(tensor, g_syn), target).value
-        rows.append(_row("upper", name, syn, pi_val))
-
-    st_lo, bnd_lo, ok_lo = _spread_case(rows, "lower", bound)
-    st_up, bnd_up, ok_up = _spread_case(rows, "upper", bound)
-    return (
-        rows,
-        {"lower": st_lo, "upper": st_up},
-        {"lower": bnd_lo, "upper": bnd_up},
-        ok_lo and ok_up,
-    )
+    for name, tensor in _smooth_tensors(grid, seed + row.seed_offset):
+        rows.append(_row("upper", name, norm_x(synthesize(tensor, g_syn)), pi(tensor)))
+    return _summarize(rows, {"lower": (_spread_case, bound), "upper": (_spread_case, bound)})
 
 
-def _suite_thm51(cfg):
-    grid = _grid_from_config(cfg)
-    p1 = _exponent_cfg(cfg.get("p1", 2.0))
-    p2 = _exponent_cfg(cfg.get("p2", 2.0))
-    finite = not isinstance(p1, str) and not isinstance(p2, str)
-    if finite:
-        if p1 <= 1.0 or p2 <= 1.0 or 1.0 / p1 + 1.0 / p2 > 1.0:
-            raise ConfigError(
-                "hypothesis violated: p1, p2 in (1, inf) with p1^{-1} + p2^{-1} <= 1 "
-                "(Theorem 5.1(i)), or vanishing globals"
-            )
-    spec_f, spec_e, target, norm_a, norm_b = _factor_amalgams(cfg, p1, p2, INF0)
-    seed = int(cfg.get("seed", 0))
+def _eps_sandwich(suite: str, cfg: dict):
+    row, grid, seed, bound, factors, decompose, pi, norm_x = _start(suite, cfg)
+    model = tuple(stack_dual_model(e) for e in factors)
     count = int(cfg.get("dual_count", 256))
-    bound = float(cfg.get("spread_bound", 100.0))
-    model = (("amalgam", spec_f), ("fourier_amalgam", spec_e))
-    duals = make_dual_samples(count, seed + 17, model, grid, grid.dual())
-
+    duals = make_dual_samples(count, seed + row.seed_offset, model, grid, grid.dual())
     rows = []
     for name, f in test_family(grid, seed=seed):
-        tensor, _ = decompose_mollified(f)
+        tensor = decompose(f)
         eps = eps_lower_bound(tensor, duals + [aligned_dual_sample(tensor, model)])
-        pi = pi_upper_bound(tensor, norm_a, norm_b)
-        rows.append(_row("ordering", name, eps, pi))
-        sup_norm = amalgam_norm_discrete(f, target).value
-        rows.append(_row("lower", name, eps, sup_norm))
-    st_o, bnd_o, ok_o = _max_case(rows, "ordering", 1.0)
-    st_l, bnd_l, ok_l = _spread_case(rows, "lower", bound)
-    return (
-        rows,
-        {"ordering": st_o, "lower": st_l},
-        {"ordering": bnd_o, "lower": bnd_l},
-        ok_o and ok_l,
-    )
+        rows.append(_row("ordering", name, eps, pi(tensor)))
+        rows.append(_row("lower", name, eps, norm_x(f)))
+    return _summarize(rows, {"ordering": (_max_case, 1.0), "lower": (_spread_case, bound)})
 
 
-def _suite_cor61a(cfg):
-    grid = _grid_from_config(cfg)
-    p1 = _exponent_cfg(cfg.get("p1", 1.0))
-    p2 = _exponent_cfg(cfg.get("p2", 2.0))
-    if isinstance(p1, str) or isinstance(p2, str) or not 1.0 <= p1 <= p2 <= 2.0:
-        raise ConfigError("hypothesis violated: 1 <= p1 <= p2 <= 2 (Corollary 6.1(a))")
-    bound = float(cfg.get("spread_bound", 10.0))
-    seed = int(cfg.get("seed", 0))
-    target = AmalgamSpec(FLpSpec(p2), GlobalSpec(1.0))
-
-    rows = []
-    for name, f in test_family(grid, seed=seed):
-        tensor, _ = decompose_splitting(f)
-        pi = pi_upper_bound(tensor, _lp_values(p1), _lp_values(p2))
-        amal = amalgam_norm_discrete(f, target).value
-        rows.append(_row("lower", name, pi, amal))
-    g_syn = plateau(grid, 2.0, 3.0)
-    for name, tensor in _smooth_tensors(grid, seed + 3):
-        pi = pi_upper_bound(tensor, _lp_values(p1), _lp_values(p2))
-        syn = amalgam_norm_discrete(synthesize(tensor, g_syn), target).value
-        rows.append(_row("upper", name, syn, pi))
-    st_lo, bnd_lo, ok_lo = _spread_case(rows, "lower", bound)
-    st_up, bnd_up, ok_up = _spread_case(rows, "upper", bound)
-    return (
-        rows,
-        {"lower": st_lo, "upper": st_up},
-        {"lower": bnd_lo, "upper": bnd_up},
-        ok_lo and ok_up,
-    )
-
-
-def _suite_cor61b(cfg):
-    grid = _grid_from_config(cfg)
-    p1 = _exponent_cfg(cfg.get("p1", 2.0))
-    p2 = _exponent_cfg(cfg.get("p2", 2.0))
-    if isinstance(p1, str) or isinstance(p2, str) or not 2.0 <= p2 <= p1 < math.inf:
-        raise ConfigError("hypothesis violated: 2 <= p2 <= p1 < inf (Corollary 6.1(b))")
-    seed = int(cfg.get("seed", 0))
-    count = int(cfg.get("dual_count", 256))
-    bound = float(cfg.get("spread_bound", 100.0))
-    target = AmalgamSpec(FLpSpec(p2), GlobalSpec(INF0))
-    model = (("lp", p1), ("lp", p2))
-    duals = make_dual_samples(count, seed + 29, model, grid, grid.dual())
-
-    rows = []
-    for name, f in test_family(grid, seed=seed):
-        tensor, _ = decompose_splitting(f)
-        eps = eps_lower_bound(tensor, duals + [aligned_dual_sample(tensor, model)])
-        pi = pi_upper_bound(tensor, _lp_values(p1), _lp_values(p2))
-        rows.append(_row("ordering", name, eps, pi))
-        sup_norm = amalgam_norm_discrete(f, target).value
-        rows.append(_row("lower", name, eps, sup_norm))
-    st_o, bnd_o, ok_o = _max_case(rows, "ordering", 1.0)
-    st_l, bnd_l, ok_l = _spread_case(rows, "lower", bound)
-    return (
-        rows,
-        {"ordering": st_o, "lower": st_l},
-        {"ordering": bnd_o, "lower": bnd_l},
-        ok_o and ok_l,
-    )
+_SANDWICH_RUNS = {A.TensorPi: _pi_sandwich, A.TensorEps: _eps_sandwich}
 
 
 def _suite_rem62(cfg):
@@ -491,8 +417,8 @@ def _suite_rem62(cfg):
     p = _exponent_cfg(cfg.get("p1", cfg.get("p", 2.0)))
     if isinstance(p, str) or p == math.inf:
         raise ConfigError("hypothesis: p in [1, inf) (Remark 6.2)")
-    bound = float(cfg.get("spread_bound", 10.0))
-    target = AmalgamSpec(FLpSpec(p), GlobalSpec(1.0))
+    bound = _float_cfg(cfg, "spread_bound", 10.0)
+    target = _amalgam_spec(A.Amalgam(A.FL(A.Lp(p)), 1.0))
     dual = grid.dual()
     g_dual = normalized_gaussian(dual)
     rows = []
@@ -501,17 +427,16 @@ def _suite_rem62(cfg):
         finv = inverse_fourier(f)
         mod = mixed_norm(stft(finv, g_dual), p, 1.0, None)
         rows.append(_row("ratio", name, amal, mod))
-    st, bnd, ok = _spread_case(rows, "ratio", bound)
-    return rows, {"ratio": st}, {"ratio": bnd}, ok
+    return _summarize(rows, {"ratio": (_spread_case, bound)})
 
 
 def _suite_cor67(cfg):
     grid = _grid_from_config(cfg)
-    s = float(cfg.get("s", 0.0))
+    s = _float_cfg(cfg, "s", 0.0)
     if s < 0:
         raise ConfigError("hypothesis violated: s >= 0 (Corollary 6.7 intersection form)")
-    bound = float(cfg.get("spread_bound", 10.0))
-    tol = float(cfg.get("tol", 1e-6))
+    bound = _float_cfg(cfg, "spread_bound", 10.0)
+    tol = _float_cfg(cfg, "tol", 1e-6)
     w = PowerWeight(s)
     g = normalized_gaussian(grid)
     rows = []
@@ -523,15 +448,10 @@ def _suite_cor67(cfg):
         if s == 0.0:
             moyal = mixed_norm(v, 2.0, 2.0, None)
             rows.append(_row("moyal", name, abs(moyal - f.norm2()) / f.norm2(), tol))
-    st, bnd, ok = _spread_case(rows, "ratio", bound)
-    stats = {"ratio": st}
-    bounds = {"ratio": bnd}
+    checks = {"ratio": (_spread_case, bound)}
     if s == 0.0:
-        st_m, bnd_m, ok_m = _max_case(rows, "moyal", 1.0)
-        stats["moyal"] = st_m
-        bounds["moyal"] = bnd_m
-        ok = ok and ok_m
-    return rows, stats, bounds, ok
+        checks["moyal"] = (_max_case, 1.0)
+    return _summarize(rows, checks)
 
 
 #: golden fixtures: (expression, expected normal form, expected rule ids)
@@ -578,18 +498,18 @@ def _suite_identify_golden(cfg):
 
 
 SUITES = {
-    "stft.inversion": ("§2 (inversion identity)", _suite_stft_inversion, None),
-    "lemma2.1": ("Lemma 2.1", _suite_lemma21, None),
-    "bupu": ("§3 (partition axioms)", _suite_bupu, None),
-    "lemma3.3": ("Lemma 3.3", _suite_lemma33, None),
-    "lemma3.4": ("Lemma 3.4", _suite_lemma34, "R_L34"),
-    "thm4.2": ("Theorem 4.2", _suite_thm42, None),
-    "thm5.1": ("Theorem 5.1", _suite_thm51, None),
-    "cor6.1a": ("Corollary 6.1(a)", _suite_cor61a, "R_C61a"),
-    "cor6.1b": ("Corollary 6.1(b)", _suite_cor61b, "R_C61b"),
-    "rem6.2": ("Remark 6.2", _suite_rem62, "R_R62"),
-    "cor6.7": ("Corollary 6.7", _suite_cor67, "R_Q"),
-    "identify.golden": ("§6 (rule table)", _suite_identify_golden, None),
+    "stft.inversion": ("§2 (inversion identity)", _suite_stft_inversion),
+    "lemma2.1": ("Lemma 2.1", _suite_lemma21),
+    "bupu": ("§3 (partition axioms)", _suite_bupu),
+    "lemma3.3": ("Lemma 3.3", _suite_lemma33),
+    "lemma3.4": ("Lemma 3.4", _suite_lemma34),
+    **{  # located at their rule's statement
+        suite: (RULE_TABLE[_SUITE_RULE[suite]].location, partial(_SANDWICH_RUNS[row.op], suite))
+        for suite, row in SANDWICHES.items()
+    },
+    "rem6.2": ("Remark 6.2", _suite_rem62),
+    "cor6.7": ("Corollary 6.7", _suite_cor67),
+    "identify.golden": ("§6 (rule table)", _suite_identify_golden),
 }
 
 SUITE_LOCATIONS = {k: v[0] for k, v in SUITES.items()}
@@ -605,7 +525,7 @@ def run_verification(theorem_id: str, **config) -> VerificationReport:
         raise ConfigError(
             f"unknown theorem id {theorem_id!r}; registered: {', '.join(registered_suites())}"
         )
-    location, runner, rule = SUITES[theorem_id]
+    location, runner = SUITES[theorem_id]
     grid = _grid_from_config(config)
     _check_integer_cfg(config)
     t0 = time.perf_counter()
@@ -626,7 +546,7 @@ def run_verification(theorem_id: str, **config) -> VerificationReport:
         passed=bool(passed),
         grid={"dim": grid.dim, "L": grid.half_width, "N": grid.n},
         seed=int(config.get("seed", 0)),
-        verifies_rule=rule,
+        verifies_rule=_SUITE_RULE.get(theorem_id),
         runtime_s=runtime,
     )
 

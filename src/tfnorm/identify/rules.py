@@ -382,9 +382,12 @@ RULES = [
 
 RULE_TABLE = {r.id: r for r in RULES}
 
-#: soundness hooks: rules whose content a numeric suite verifies
+#: soundness hooks, the one rule -> suite map (one suite per rule): the suite
+#: verifies the rule's content; sandwich suites take their hypotheses from it
 RULE_NUMERIC_SUITE = {
     "R_L34": "lemma3.4",
+    "R_T42": "thm4.2",
+    "R_T51": "thm5.1",
     "R_C61a": "cor6.1a",
     "R_C61b": "cor6.1b",
     "R_R62": "rem6.2",

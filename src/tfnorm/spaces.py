@@ -1,10 +1,11 @@
 """Concrete space atoms: weighted L^p, FL^p and weighted C_0.
 
-Each atom knows the closed-form growth of its translation and modulation
-operator norms as a function of its power weight: translations on L^p_{v_s}
-grow like (1+|x|)^|s| (for either sign of s), modulations are isometries;
-the Fourier image swaps the two roles. ``operator_norm_translation``
-measures the translation growth on a grid.
+The closed-form growth of an atom's translation and modulation operator
+norms lives on the space-expression AST, as ``identify.ast.omega_exponent``
+and ``nu_exponent``: translations on L^p_{v_s} grow like (1+|x|)^|s| (for
+either sign of s), modulations are isometries, and the Fourier image swaps
+the two roles. ``operator_norm_translation`` measures the translation growth
+on a grid, the check of those exponents.
 """
 
 from __future__ import annotations
@@ -44,14 +45,6 @@ class LpSpec:
     p: float
     weight: Weight = field(default_factory=lambda: PowerWeight(0.0))
 
-    def omega(self, x) -> np.ndarray:
-        return (1.0 + np.abs(np.asarray(x, dtype=float))) ** abs(
-            weight_exponent(self.weight)
-        )
-
-    def nu(self, xi) -> np.ndarray:
-        return np.ones_like(np.asarray(xi, dtype=float))
-
 
 @dataclass(frozen=True)
 class FLpSpec:
@@ -60,28 +53,12 @@ class FLpSpec:
     p: float
     weight: Weight = field(default_factory=lambda: PowerWeight(0.0))
 
-    def omega(self, x) -> np.ndarray:
-        return np.ones_like(np.asarray(x, dtype=float))
-
-    def nu(self, xi) -> np.ndarray:
-        return (1.0 + np.abs(np.asarray(xi, dtype=float))) ** abs(
-            weight_exponent(self.weight)
-        )
-
 
 @dataclass(frozen=True)
 class C0Spec:
     """Continuous functions vanishing at infinity against the weight w."""
 
     weight: Weight = field(default_factory=lambda: PowerWeight(0.0))
-
-    def omega(self, x) -> np.ndarray:
-        return (1.0 + np.abs(np.asarray(x, dtype=float))) ** abs(
-            weight_exponent(self.weight)
-        )
-
-    def nu(self, xi) -> np.ndarray:
-        return np.ones_like(np.asarray(xi, dtype=float))
 
 
 SpaceSpec = LpSpec | FLpSpec | C0Spec
@@ -99,10 +76,5 @@ def operator_norm_translation(spec: SpaceSpec, x0: float, grid: GridSpec) -> flo
     if not isinstance(spec, (LpSpec, C0Spec)):
         raise TypeError(f"unsupported atom {spec!r}")
     t = grid.axis_points() if grid.dim == 1 else grid.points().reshape(-1, grid.dim)
-    w = spec.weight
-    if grid.dim == 1:
-        ratio = w.eval(t + x0) / w.eval(t)
-    else:
-        off = np.asarray(x0, dtype=float)
-        ratio = w.eval(t + off) / w.eval(t)
+    ratio = spec.weight.eval(t + np.asarray(x0, dtype=float)) / spec.weight.eval(t)
     return float(np.max(ratio))

@@ -157,6 +157,24 @@ def test_verify_bad_seed_or_dual_count_is_usage_error(argv, message, capsys):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "thm4.2", "--p1", "abc"],
+        ["verify", "lemma3.3", "--p", "abc"],
+        ["verify", "thm5.1", "--p1", "inf"],
+        ["verify", "thm4.2", "--E", "L2("],
+        ["verify", "thm5.1", "--E", "W(L2, l1)"],
+        ["verify", "lemma3.3", "--local", "FL2("],
+        ["verify", "bupu", "--L", "inf"],
+        ["verify", "lemma3.3", "--spread-bound", "nan"],
+    ],
+)
+def test_verify_bad_value_is_usage_error(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_verify_unknown_id(capsys):
     rc = main(["verify", "nope"])
     assert rc == 2
@@ -177,6 +195,7 @@ def test_report_command(tmp_path, capsys):
     assert rc == 0
     assert "bupu" in out and "identify.golden" in out
     assert "not run" in out  # numeric twins absent in this directory
+    assert "R_T42    thm4.2" in out and "R_T51    thm5.1" in out
 
 
 def test_report_command_empty_dir(tmp_path, capsys):

@@ -28,6 +28,9 @@ def test_grid_validation():
         GridSpec(3, 16.0, 64)
     with pytest.raises(ValueError):
         GridSpec(1, -1.0, 64)
+    for width in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            GridSpec(1, width, 64)
 
 
 def test_dual_grid_roundtrip(grid):

@@ -2,10 +2,13 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tfnorm.harness import (
     ConfigError,
     GOLDEN_FIXTURES,
+    SANDWICHES,
+    _rule_instance,
     emit_report,
     registered_suites,
     rule_verification_summary,
@@ -46,6 +49,88 @@ def test_thm42_hypothesis_rejection():
 def test_thm51_hypothesis_rejection():
     with pytest.raises(ConfigError, match="Theorem 5.1"):
         run_verification("thm5.1", p1=1, p2=1)
+
+
+@pytest.mark.parametrize("p1, p2", [("inf", 2), (2, "inf"), ("inf", "inf0"), (math.inf, 3)])
+def test_thm51_rejects_sup_exponents(p1, p2):
+    # Theorem 5.1 covers finite exponents and the vanishing l^inf0 only
+    with pytest.raises(ConfigError, match="Theorem 5.1"):
+        run_verification("thm5.1", p1=p1, p2=p2, L=8.0, N=256, dual_count=32)
+
+
+_EXPONENTS = [1.0, 1.25, 1.5, 2.0, 3.0, 4.0, 6.0, "inf", "inf0"]
+
+
+def _paper_hypothesis(suite, p1, p2) -> bool:
+    """The side conditions of the paper's statements, written out on their own."""
+    finite = all(p not in ("inf", "inf0") for p in (p1, p2))
+    if suite == "thm4.2":
+        return (finite and 1 / p1 + 1 / p2 >= 1) or (p1, p2) in (("inf0", 1.0), (1.0, "inf0"))
+    if suite == "thm5.1":
+        if finite:
+            return p1 > 1 and p2 > 1 and 1 / p1 + 1 / p2 <= 1
+        return "inf0" in (p1, p2) and "inf" not in (p1, p2)
+    if suite == "cor6.1a":
+        return finite and 1 <= p1 <= p2 <= 2
+    return finite and 2 <= p2 <= p1  # cor6.1b: 2 <= p2 <= p1 < inf
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(SANDWICHES)), st.sampled_from(_EXPONENTS), st.sampled_from(_EXPONENTS))
+def test_sandwich_hypothesis_step_is_the_paper_condition(suite, p1, p2):
+    try:
+        _rule_instance(suite, {"p1": p1, "p2": p2})
+        accepted = True
+    except ConfigError:
+        accepted = False
+    assert accepted == _paper_hypothesis(suite, p1, p2)
+
+
+@pytest.mark.parametrize(
+    "suite, config, match",
+    [
+        ("thm4.2", {"p1": "abc"}, "exponent 'abc' must be a number"),
+        ("cor6.1b", {"p2": None}, "exponent None must be a number"),
+        ("lemma3.3", {"spread_bound": "x"}, "spread_bound must be a number"),
+        ("lemma3.3", {"p": "abc"}, "exponent 'abc' must be a number"),
+        ("cor6.7", {"s": "x"}, "s must be a number"),
+        ("thm5.1", {"s1": "x"}, "s1 must be a number"),
+        ("stft.inversion", {"tol": "x"}, "tol must be a number"),
+        ("lemma3.3", {"spread_bound": "nan"}, "spread_bound must be a number"),
+        ("bupu", {"L": "nan"}, "invalid grid: half_width must be positive and finite"),
+        ("bupu", {"L": math.inf}, "invalid grid: half_width must be positive and finite"),
+    ],
+)
+def test_non_numeric_config_is_config_error(suite, config, match):
+    with pytest.raises(ConfigError, match=match):
+        run_verification(suite, **config)
+
+
+@pytest.mark.parametrize("suite", ["thm4.2", "thm5.1"])
+@pytest.mark.parametrize("E", ["FL3", "C0[1]", "L1[1]"])
+def test_sandwich_accepts_any_local_atom(suite, E):
+    r = run_verification(suite, E=E, L=8.0, N=256, dual_count=32)
+    assert r.passed
+
+
+@pytest.mark.parametrize("local", ["FL3", "C0[1]", "L1[1]"])
+def test_lemma33_accepts_any_local_atom(local):
+    assert run_verification("lemma3.3", local=local, L=8.0, N=256).passed
+
+
+@pytest.mark.parametrize(
+    "suite, config",
+    [
+        ("thm4.2", {"E": "L2("}),
+        ("thm5.1", {"E": "W(L2, l1)"}),
+        ("thm4.2", {"E": "F(C0)"}),
+        ("lemma3.3", {"local": "L2("}),
+        ("lemma3.3", {"local": "Mod((L1 opi L2))"}),
+    ],
+)
+def test_unparsable_or_composite_local_is_config_error(suite, config):
+    with pytest.raises(ConfigError, match="E=|local="):
+        run_verification(suite, **config)
 
 
 def test_cor61a_hypothesis_rejection():
@@ -139,6 +224,8 @@ def test_rule_verification_summary():
         "R_L34": False,
         "R_Q": False,
         "R_R62": False,
+        "R_T42": False,
+        "R_T51": False,
     }
 
 

@@ -29,6 +29,7 @@ from tfnorm.identify import (
     render,
     trace_to_json,
 )
+from tfnorm.harness import registered_suites, run_verification
 from tfnorm.identify.rules import RULES, RULE_NUMERIC_SUITE, RULE_TABLE
 
 
@@ -184,8 +185,13 @@ def test_trace_json_fields():
 
 def test_rule_table_integrity():
     assert len({r.id for r in RULES}) == len(RULES)
-    for rule_id in RULE_NUMERIC_SUITE:
+    assert len(set(RULE_NUMERIC_SUITE.values())) == len(RULE_NUMERIC_SUITE)
+    for rule_id, suite in RULE_NUMERIC_SUITE.items():
         assert rule_id in RULE_TABLE
+        assert suite in registered_suites()
+        # small self-dual grid: the rule link is config-independent
+        report = run_verification(suite, L=8.0, N=256, dual_count=32)
+        assert report.verifies_rule == rule_id
 
 
 # -- inclusion ---------------------------------------------------------------

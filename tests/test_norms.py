@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tfnorm.bupu import make_integer_bupu
-from tfnorm.family import random_smooth
+from tfnorm.evaluate import eval_space_norm, stack_evaluator
+from tfnorm.family import random_smooth, test_family as make_family
+from tfnorm.identify.parser import parse_space
 from tfnorm.grid import GridSpec, SampledFunction
 from tfnorm.norms import (
     AmalgamSpec,
@@ -368,3 +370,15 @@ def test_2d_lp_amalgam_reduces_on_window_boxes():
         tracemalloc.stop()
     assert peak < 8 * 2**20
     assert value > 0.0
+
+
+@pytest.mark.parametrize("text", ["L3[1]", "W(FL2, l2[1])", "F(W(C0[1], l1))", "F(W(L1, linf0))"])
+def test_stack_evaluator_matches_the_one_function_norm(text):
+    # a whole stack of rows, measured at once, gives each row's own norm
+    grid = GridSpec(1, 8.0, 256)
+    members = [f for _, f in make_family(grid, seed=3)][:5]
+    rows = np.stack([f.values for f in members])
+    expr = parse_space(text)
+    stacked = stack_evaluator(expr)(rows, grid)
+    for value, f in zip(stacked, members, strict=True):
+        assert value == pytest.approx(eval_space_norm(expr, f)[0].value, rel=1e-12)

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from tfnorm.evaluate import _local_spec
+from tfnorm.identify.ast import nu_exponent, omega_exponent
+from tfnorm.identify.parser import parse_space
 from tfnorm.spaces import (
     C0Spec,
     FLpSpec,
@@ -32,20 +35,23 @@ def test_reciprocal_weight_growth(grid):
 
 
 def test_closed_form_omega_matches_measurement(grid):
-    # omega(x) = (1+|x|)^{|s|} on the grid within 1%
-    for s in (0.0, 1.0, -1.0, 2.0):
-        spec = LpSpec(2.0, make_power_weight(s))
-        for x0 in (1.0, 2.0):
-            measured = operator_norm_translation(spec, x0, grid)
-            assert measured == pytest.approx(spec.omega(x0), rel=0.01)
-    assert LpSpec(2.0, make_power_weight(0.0)).omega(7.0) == 1.0
+    # the AST's growth exponent is the measured one: translations on the
+    # atom's spec grow like (1+|x0|)^|omega| on the grid, within 1%
+    for text in ("L2", "L2[1]", "L2[-1]", "L2[2]", "C0[1]", "C0[-2]", "FL2[3]"):
+        atom = parse_space(text)
+        for x0 in (1.0, 2.0, 7.0):
+            measured = operator_norm_translation(_local_spec(atom), x0, grid)
+            expected = (1.0 + x0) ** abs(omega_exponent(atom))
+            assert measured == pytest.approx(expected, rel=0.01), (text, x0)
+    assert operator_norm_translation(_local_spec(parse_space("L2")), 7.0, grid) == 1.0
 
 
 def test_fourier_side_translation_is_isometric(grid):
     spec = FLpSpec(2.0, make_power_weight(3.0))
     assert operator_norm_translation(spec, 2.0, grid) == 1.0
-    # the growth moved to the modulation side
-    assert spec.nu(1.0) == pytest.approx(8.0)
+    # the growth moved to the modulation side: (1+1)^nu = 8 for FL2[3]
+    assert (1.0 + 1.0) ** nu_exponent(parse_space("FL2[3]")) == pytest.approx(8.0)
+    assert nu_exponent(parse_space("L2[3]")) == 0.0 == nu_exponent(parse_space("C0[3]"))
 
 
 def test_c0_spec_growth(grid):
