@@ -177,7 +177,7 @@ def _cmd_report(args) -> int:
                 d = json.load(fh)
             except json.JSONDecodeError:
                 continue
-        if "theorem_id" in d and "passed" in d:
+        if isinstance(d, dict) and {"theorem_id", "location", "passed"} <= d.keys():
             reports.append(d)
     if not reports:
         print(f"no reports found in {args.dir}", file=sys.stderr)
@@ -241,7 +241,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return USAGE_ERROR if e.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as e:  # an --out or --dir path that cannot be written, listed or read
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -5,8 +5,9 @@ of tensors, duals, Shubin atoms) are normalized first and the normal form
 is evaluated when it is concrete. Fourier wrappers change the carrier:
 ||f||_{F(X)} = ||F^(-1) f||_X and conversely.
 
-The numeric specs of every expression, stacks of tensor factors and their
-dual-sample models included, are built here.
+The numeric specs of every expression are built here, also for stacks of
+rows: ``stack_evaluator`` gives the norm of a space, ``stack_dual_norm`` the
+norm that normalizes dual samples acting on it.
 """
 
 from __future__ import annotations
@@ -30,11 +31,12 @@ from .norms import (
     shubin_norm,
 )
 from .spaces import C0Spec, FLpSpec, LpSpec
+from .tensor import _conjugate, dual_amalgam_spec, overlap_factor
 from .transforms import fourier, inverse_fourier, transform_axes
 from .weights import PowerWeight, RadialWeight2D, TensorWeight
 from .windows import normalized_gaussian
 
-__all__ = ["eval_space_norm", "stack_evaluator", "stack_dual_model", "UnsupportedSpaceError"]
+__all__ = ["eval_space_norm", "stack_evaluator", "stack_dual_norm", "UnsupportedSpaceError"]
 
 
 class UnsupportedSpaceError(ValueError):
@@ -123,17 +125,24 @@ def stack_evaluator(e):
     raise UnsupportedSpaceError(f"no stack norm for {A.render(e)}")
 
 
-def stack_dual_model(e) -> tuple:
-    """Dual-sample descriptor for tensor factors in the space ``e``:
-    ("lp", p) for an unweighted L^p, ("amalgam", spec) for an amalgam and
-    ("fourier_amalgam", spec) for F(amalgam)."""
+def stack_dual_norm(e):
+    """(rows, grid) -> dual(u) of every row u of a stack, so that the grid
+    pairing obeys |<u, f>| <= dual(u) ||f||_e: L^q for an unweighted L^p, the
+    dual amalgam times the overlap factor for an amalgam, and X's dual norm
+    of the forward transform for F(X)."""
     if isinstance(e, A.Lp) and e.s == 0.0:
-        return ("lp", _exponent(e.p))
+        q = _conjugate(_exponent(e.p))
+        return lambda rows, grid: lp_norms(rows, grid, q)
+    if isinstance(e, A.FL):
+        inner = stack_dual_norm(e.inner)
+        return lambda rows, g: inner(transform_axes(rows, g.spacing, -1, g.dim), g.dual())
     if isinstance(e, A.Amalgam):
-        return ("amalgam", _amalgam_spec(e))
-    if isinstance(e, A.FL) and isinstance(e.inner, A.Amalgam):
-        return ("fourier_amalgam", _amalgam_spec(e.inner))
-    raise UnsupportedSpaceError(f"no dual-sample model for {A.render(e)}")
+        spec = _amalgam_spec(e)
+        dual = dual_amalgam_spec(spec)
+        return lambda rows, grid: [
+            r.value * overlap_factor(spec, grid) for r in amalgam_norms(rows, grid, dual)
+        ]
+    raise UnsupportedSpaceError(f"no dual norm for {A.render(e)}")
 
 
 def eval_space_norm(expr, f: SampledFunction) -> tuple:

@@ -148,26 +148,6 @@ class SampledFunction:
         )
 
 
-def _share_rows(grid: GridSpec, stack: np.ndarray) -> list:
-    """Functions whose values are the rows of a complex128 (B, *grid.shape)
-    stack that a layer has just built: the stack is checked for finite
-    values once and made read-only, and no row is copied."""
-    if stack.dtype != np.complex128 or stack.shape[1:] != grid.shape:
-        raise ValueError(
-            f"need a complex128 stack of rows of shape {grid.shape}, got {stack.dtype} {stack.shape}"
-        )
-    if not np.all(np.isfinite(stack)):
-        raise ValueError("values must be finite")
-    stack.flags.writeable = False
-    out = []
-    for row in stack:
-        f = object.__new__(SampledFunction)
-        object.__setattr__(f, "grid", grid)
-        object.__setattr__(f, "values", row)
-        out.append(f)
-    return out
-
-
 def _check_same_grid(a: SampledFunction, b: SampledFunction):
     if a.grid != b.grid:
         raise ValueError(f"grid mismatch: {a.grid} vs {b.grid}")

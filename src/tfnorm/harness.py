@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bupu import SpacingError, make_integer_bupu, validate_bupu
-from .evaluate import _amalgam_spec, _local_spec, stack_dual_model, stack_evaluator
+from .evaluate import _amalgam_spec, _local_spec, eval_space_norm, stack_dual_norm, stack_evaluator
 from .family import test_family
 from .grid import GridSpec
 from .identify import ast as A
@@ -49,7 +49,6 @@ from .norms import (
     amalgam_norm_continuous,
     lp_norm,
     mixed_norm,
-    modulation_norm_via_amalgam,
 )
 from .stft import stft, check_inversion
 from .tensor import (
@@ -62,8 +61,8 @@ from .tensor import (
     pi_upper_bound,
     synthesize,
 )
-from .transforms import approx_identity_gn, fourier, hermite_projector, inverse_fourier
-from .weights import PowerWeight, RadialWeight2D, TensorWeight
+from .transforms import approx_identity_gn, fourier, hermite_projector
+from .weights import PowerWeight, RadialWeight2D
 from .windows import gaussian, normalized_gaussian, plateau
 
 __all__ = [
@@ -131,8 +130,8 @@ def _grid_from_config(cfg: dict) -> GridSpec:
 
 
 def _check_integer_cfg(cfg: dict) -> None:
-    """``seed`` must be an integer >= 0 and ``dual_count`` one >= 1."""
-    for key, least in (("seed", 0), ("dual_count", 1)):
+    """``seed`` (>= 0), ``dual_count`` (>= 1) and ``N`` (>= 2) are integers."""
+    for key, least in (("seed", 0), ("dual_count", 1), ("N", 2)):
         v = cfg.get(key, least)
         if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < least:
             raise ConfigError(f"{key} must be an integer >= {least}, got {v!r}")
@@ -223,13 +222,12 @@ def _smooth_tensors(grid: GridSpec, seed: int, count: int = 8) -> list:
     out = []
     for i in range(count):
         rank = 1 + int(rng.integers(0, 3))
-        terms = []
+        lam, phi, psi = [], [], []
         for _ in range(rank):
-            phi = draw_gaussian()
-            psi = fourier(draw_gaussian())
-            lam = float(rng.uniform(0.5, 1.5)) / rank
-            terms.append((lam + 0.0j, phi, psi))
-        out.append((f"tensor_{i}", FiniteTensor(tuple(terms))))
+            phi.append(draw_gaussian().values)
+            psi.append(fourier(draw_gaussian()).values)
+            lam.append(float(rng.uniform(0.5, 1.5)) / rank)
+        out.append((f"tensor_{i}", FiniteTensor(lam, phi, psi, grid, grid.dual())))
     return out
 
 
@@ -299,18 +297,14 @@ def _suite_lemma33(cfg):
 
 def _suite_lemma34(cfg):
     grid = _grid_from_config(cfg)
-    p1 = _exponent_cfg(cfg.get("p1", 2.0))
-    p2 = _exponent_cfg(cfg.get("p2", 2.0))
-    if any(isinstance(p, str) or p == math.inf for p in (p1, p2)):
-        raise ConfigError("hypothesis: p1, p2 in [1, inf) (Lemma 3.4)")
+    p1, p2 = (_exponent_cfg(cfg.get(k, 2.0)) for k in ("p1", "p2"))
+    m = A.Mpq(p1, p2, A.tensor_weight(_float_cfg(cfg, "s1", 0.0), _float_cfg(cfg, "s2", 0.0)))
+    target = _apply_rule("lemma3.4", m, "hypothesis: p1, p2 in [1, inf) (Lemma 3.4)")
     bound = _float_cfg(cfg, "spread_bound", 10.0)
-    w1, w2 = PowerWeight(_float_cfg(cfg, "s1", 0.0)), PowerWeight(_float_cfg(cfg, "s2", 0.0))
-    g = normalized_gaussian(grid)
-    rows = []
-    for name, f in test_family(grid, seed=int(cfg.get("seed", 0))):
-        direct = mixed_norm(stft(f, g), p1, p2, TensorWeight(w1, w2))
-        via = modulation_norm_via_amalgam(f, p1, p2, w1, w2).value
-        rows.append(_row("ratio", name, direct, via))
+    rows = [
+        _row("ratio", name, _space_norm(m, f), _space_norm(target, f))
+        for name, f in test_family(grid, seed=int(cfg.get("seed", 0)))
+    ]
     return _summarize(rows, {"ratio": (_spread_case, bound)})
 
 
@@ -355,16 +349,26 @@ SANDWICHES = {
 _SUITE_RULE = {suite: rule for rule, suite in RULE_NUMERIC_SUITE.items()}
 
 
+def _apply_rule(suite: str, expr, hypothesis: str):
+    """Hypothesis step of a suite: the rewrite of ``expr`` by the suite's
+    rule; ConfigError(hypothesis) when the rule does not match it."""
+    target = RULE_TABLE[_SUITE_RULE[suite]].apply(expr)
+    if target is None:
+        raise ConfigError(hypothesis)
+    return target
+
+
+def _space_norm(expr, f) -> float:
+    return eval_space_norm(expr, f)[0].value
+
+
 def _rule_instance(suite: str, cfg: dict) -> tuple:
     """Hypothesis step of a sandwich: the factors (A, B) the config names and
     the target X of the suite's rule Mod(A op B) = X."""
     row = SANDWICHES[suite]
     p1, p2 = (_exponent_cfg(cfg.get(k, d)) for k, d in zip(("p1", "p2"), row.exponents))
     a, b = row.factors(cfg, p1, p2)
-    target = RULE_TABLE[_SUITE_RULE[suite]].apply(A.Mod(row.op(a, b)))
-    if target is None:
-        raise ConfigError(row.hypothesis)
-    return a, b, target
+    return a, b, _apply_rule(suite, A.Mod(row.op(a, b)), row.hypothesis)
 
 
 def _start(suite: str, cfg: dict) -> tuple:
@@ -397,13 +401,14 @@ def _pi_sandwich(suite: str, cfg: dict):
 
 def _eps_sandwich(suite: str, cfg: dict):
     row, grid, seed, bound, factors, decompose, pi, norm_x = _start(suite, cfg)
-    model = tuple(stack_dual_model(e) for e in factors)
+    dual_norms = tuple(stack_dual_norm(e) for e in factors)
     count = int(cfg.get("dual_count", 256))
-    duals = make_dual_samples(count, seed + row.seed_offset, model, grid, grid.dual())
+    duals = make_dual_samples(count, seed + row.seed_offset, dual_norms, grid, grid.dual())
     rows = []
     for name, f in test_family(grid, seed=seed):
         tensor = decompose(f)
-        eps = eps_lower_bound(tensor, duals + [aligned_dual_sample(tensor, model)])
+        aligned = aligned_dual_sample(tensor, dual_norms)
+        eps = max(eps_lower_bound(tensor, d) for d in (duals, aligned))
         rows.append(_row("ordering", name, eps, pi(tensor)))
         rows.append(_row("lower", name, eps, norm_x(f)))
     return _summarize(rows, {"ordering": (_max_case, 1.0), "lower": (_spread_case, bound)})
@@ -415,18 +420,13 @@ _SANDWICH_RUNS = {A.TensorPi: _pi_sandwich, A.TensorEps: _eps_sandwich}
 def _suite_rem62(cfg):
     grid = _grid_from_config(cfg)
     p = _exponent_cfg(cfg.get("p1", cfg.get("p", 2.0)))
-    if isinstance(p, str) or p == math.inf:
-        raise ConfigError("hypothesis: p in [1, inf) (Remark 6.2)")
+    expr = A.FL(A.Mpq(p, 1.0))
+    target = _apply_rule("rem6.2", expr, "hypothesis: p in [1, inf) (Remark 6.2)")
     bound = _float_cfg(cfg, "spread_bound", 10.0)
-    target = _amalgam_spec(A.Amalgam(A.FL(A.Lp(p)), 1.0))
-    dual = grid.dual()
-    g_dual = normalized_gaussian(dual)
-    rows = []
-    for name, f in test_family(grid, seed=int(cfg.get("seed", 0))):
-        amal = amalgam_norm_discrete(f, target).value
-        finv = inverse_fourier(f)
-        mod = mixed_norm(stft(finv, g_dual), p, 1.0, None)
-        rows.append(_row("ratio", name, amal, mod))
+    rows = [
+        _row("ratio", name, _space_norm(target, f), _space_norm(expr, f))
+        for name, f in test_family(grid, seed=int(cfg.get("seed", 0)))
+    ]
     return _summarize(rows, {"ratio": (_spread_case, bound)})
 
 

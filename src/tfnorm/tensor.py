@@ -21,8 +21,9 @@ is exact on the grid (cell Hoelder plus sequence Hoelder), with
 overlap_factor = sum_{|r|<=1} max_k eta(k)/eta(k+r).
 
 Every amalgam norm, decomposition and overlap factor uses the canonical
-partition of the grid the measured function lives on, so a dual model is
-the pair (kind, AmalgamSpec).
+partition of the grid the measured function lives on. Tensors and dual
+samples are stacks of rows, one stack per side; dual samples are normalized
+by stack dual norms ``(rows, grid) -> norms`` (``evaluate.stack_dual_norm``).
 """
 
 from __future__ import annotations
@@ -30,30 +31,28 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bupu import make_integer_bupu
 from .family import _band_limited_values
-from .grid import GridSpec, SampledFunction, _check_same_grid, _share_rows, _shift_stack
+from .grid import GridSpec, SampledFunction, _shift_stack
 from .norms import (
     _BLOCK_SAMPLES,
     AmalgamSpec,
     GlobalSpec,
     INF0,
     _partition_local_norms,
-    amalgam_norms,
-    lp_norms,
 )
 from .spaces import C0Spec, FLpSpec, LpSpec, weight_exponent
-from .transforms import convolve, inverse_fourier, transform_axes
+from .transforms import convolve, transform_axes
 from .weights import PowerWeight, Weight
 from .windows import plateau, bump
 
 __all__ = [
     "FiniteTensor",
-    "DualSample",
+    "DualSamples",
     "pi_upper_bound",
     "eps_lower_bound",
     "synthesize",
@@ -65,90 +64,98 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FiniteTensor:
-    """Ordered terms (lam_j, phi_j, psi_j); phi on the time grid, psi on the
-    frequency grid."""
+def _freeze_stacks(obj, **row_shapes) -> None:
+    """Replace the named fields of ``obj`` by read-only complex128 views of
+    stacks of finite rows of the given shapes, all of one length; every
+    stack of tensor terms and dual samples is made here."""
+    for name, shape in row_shapes.items():
+        stack = np.asarray(getattr(obj, name), dtype=np.complex128).view()
+        if stack.ndim != 1 + len(shape) or stack.shape[1:] != shape:
+            raise ValueError(f"{name} needs rows of shape {shape}, got shape {stack.shape}")
+        if not np.all(np.isfinite(stack)):
+            raise ValueError(f"{name} values must be finite")
+        stack.flags.writeable = False
+        object.__setattr__(obj, name, stack)
+    lengths = {name: len(getattr(obj, name)) for name in row_shapes}
+    if len(set(lengths.values())) != 1:
+        raise ValueError(f"stacks of different lengths: {lengths}")
 
-    terms: tuple
+
+@dataclass(frozen=True, eq=False)
+class FiniteTensor:
+    """sum_j lam_j phi_j (x) psi_j as three read-only stacks: ``lam`` (J,),
+    ``phi`` (J, *xgrid.shape) on the time grid and ``psi``
+    (J, *xigrid.shape) on the frequency grid."""
+
+    lam: np.ndarray
+    phi: np.ndarray
+    psi: np.ndarray
+    xgrid: GridSpec
+    xigrid: GridSpec
 
     def __post_init__(self):
-        for lam, phi, psi in self.terms:
-            first = self.terms[0]
-            if phi.grid != first[1].grid or psi.grid != first[2].grid:
-                raise ValueError("all terms must share one pair of grids")
+        _freeze_stacks(self, lam=(), phi=self.xgrid.shape, psi=self.xigrid.shape)
 
     @property
     def rank(self) -> int:
-        return len(self.terms)
+        return len(self.lam)
 
-    def __add__(self, other: "FiniteTensor") -> "FiniteTensor":
-        return FiniteTensor(self.terms + other.terms)
 
-    def scale(self, c: complex) -> "FiniteTensor":
-        return FiniteTensor(tuple((lam * c, phi, psi) for lam, phi, psi in self.terms))
+@dataclass(frozen=True, eq=False)
+class DualSamples:
+    """Normalized functional pairs as two read-only stacks: row i of ``fa``
+    (S, *xgrid.shape) acts on first factors and row i of ``fb``
+    (S, *xigrid.shape) on second factors, both by the bilinear grid
+    pairing."""
+
+    fa: np.ndarray
+    fb: np.ndarray
+    xgrid: GridSpec
+    xigrid: GridSpec
+
+    def __post_init__(self):
+        _freeze_stacks(self, fa=self.xgrid.shape, fb=self.xigrid.shape)
+
+    def __len__(self) -> int:
+        return len(self.fa)
 
 
 def pi_upper_bound(t: FiniteTensor, norm_a, norm_b) -> float:
     """sum_j |lam_j| norm_a(phi_j) norm_b(psi_j): an upper bound for the
     projective norm of the element this representation denotes.
 
-    Each side is measured with one call: ``norm_a(stack, grid)`` gets the
-    (J, *grid.shape) stack of the first factors and their grid and returns
-    their J norms; ``norm_b`` likewise for the second factors.
+    Each side is measured with one call: ``norm_a(t.phi, t.xgrid)`` returns
+    the J norms of the first factors, ``norm_b(t.psi, t.xigrid)`` those of
+    the second factors.
     """
     if t.rank == 0:
         return 0.0
-    lam, phi, psi = zip(*t.terms)
-    na = norm_a(_rows(phi), phi[0].grid)
-    nb = norm_b(_rows(psi), psi[0].grid)
-    return float(sum(abs(c) * a * b for c, a, b in zip(lam, na, nb, strict=True)))
+    na = norm_a(t.phi, t.xgrid)
+    nb = norm_b(t.psi, t.xigrid)
+    return float(sum(abs(c) * a * b for c, a, b in zip(t.lam, na, nb, strict=True)))
 
 
-@dataclass(frozen=True)
-class DualSample:
-    """Normalized functional pair; ``fa`` acts on first factors by the
-    bilinear grid pairing, ``fb`` on second factors."""
-
-    fa: SampledFunction
-    fb: SampledFunction
-    norm_a: float
-    norm_b: float
-
-
-def eps_lower_bound(t: FiniteTensor, duals) -> float:
+def eps_lower_bound(t: FiniteTensor, duals: DualSamples) -> float:
     """max over samples of |sum_j lam_j <fa, phi_j> <fb, psi_j>|.
 
-    The factors are stacked once as Phi, Psi (J x N) and lam (J); each block
-    of at most ``_BLOCK_SAMPLES`` dual values per side gives
-    |((FA Phi^T) h_x o (FB Psi^T) h_xi) lam| for its rows at once.
+    Each block of at most ``_BLOCK_SAMPLES`` dual values per side gives
+    |((FA Phi^T) h_x o (FB Psi^T) h_xi) lam| for its rows at once, FA and FB
+    being row slices of the dual stacks and Phi, Psi the factor stacks.
     """
     if t.rank == 0:
         return 0.0
-    lam, phi, psi = zip(*t.terms)
-    for d in duals:
-        _check_same_grid(d.fa, phi[0])
-        _check_same_grid(d.fb, psi[0])
-    lam = np.asarray(lam, dtype=np.complex128)
-    phi_rows, psi_rows = _flat(phi), _flat(psi)
-    step = max(1, _BLOCK_SAMPLES // max(phi_rows.shape[1], psi_rows.shape[1]))
+    for got, want in ((duals.xgrid, t.xgrid), (duals.xigrid, t.xigrid)):
+        if got != want:
+            raise ValueError(f"grid mismatch: {got} vs {want}")
+    phi, psi = t.phi.reshape(t.rank, -1), t.psi.reshape(t.rank, -1)
+    fa, fb = duals.fa.reshape(len(duals), -1), duals.fb.reshape(len(duals), -1)
+    step = max(1, _BLOCK_SAMPLES // max(phi.shape[1], psi.shape[1]))
     best = 0.0
     for i in range(0, len(duals), step):
-        block = duals[i : i + step]
-        pa = (_flat([d.fa for d in block]) @ phi_rows.T) * phi[0].grid.cell_volume
-        pb = (_flat([d.fb for d in block]) @ psi_rows.T) * psi[0].grid.cell_volume
-        best = max(best, float(np.max(np.abs((pa * pb) @ lam))))
+        pa = (fa[i : i + step] @ phi.T) * t.xgrid.cell_volume
+        pb = (fb[i : i + step] @ psi.T) * t.xigrid.cell_volume
+        best = max(best, float(np.max(np.abs((pa * pb) @ t.lam))))
     return best
-
-
-def _rows(fs) -> np.ndarray:
-    """(J, *grid.shape) stack of the sample values of functions on one grid."""
-    return np.stack([f.values for f in fs])
-
-
-def _flat(fs) -> np.ndarray:
-    """Flattened sample values of functions on one grid, one row each."""
-    return _rows(fs).reshape(len(fs), -1)
 
 
 def synthesize(t: FiniteTensor, g: SampledFunction) -> SampledFunction:
@@ -157,8 +164,9 @@ def synthesize(t: FiniteTensor, g: SampledFunction) -> SampledFunction:
     if g.norm2() == 0.0:
         raise ValueError("synthesis window must be nonzero")
     out = np.zeros(g.grid.shape, dtype=np.complex128)
-    for lam, phi, psi in t.terms:
-        out = out + lam * inverse_fourier(psi).values * convolve(phi, g).values
+    for lam, phi, psi in zip(t.lam, t.phi, t.psi):
+        spectrum = transform_axes(psi, t.xigrid.spacing, +1, t.xigrid.dim)
+        out = out + lam * spectrum * convolve(SampledFunction(t.xgrid, phi), g).values
     return SampledFunction(g.grid, out)
 
 
@@ -174,8 +182,7 @@ def _active_pieces(f: SampledFunction, rel_tol: float = 1e-14) -> tuple:
 def _transformed_terms(grid: GridSpec, firsts: np.ndarray, pieces: np.ndarray) -> FiniteTensor:
     """Terms (1, first_j, F(piece_j)), every piece transformed in one call."""
     spectra = transform_axes(pieces, grid.spacing, -1, grid.dim)
-    pairs = zip(_share_rows(grid, firsts), _share_rows(grid.dual(), spectra))
-    return FiniteTensor(tuple((1.0 + 0.0j, u, v) for u, v in pairs))
+    return FiniteTensor(np.ones(len(firsts), np.complex128), firsts, spectra, grid, grid.dual())
 
 
 def decompose_splitting(f: SampledFunction) -> tuple:
@@ -222,7 +229,7 @@ def decompose_mollified(f: SampledFunction) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# norm evaluators and dual models
+# dual spaces and dual samples
 
 
 def dual_amalgam_spec(spec: AmalgamSpec) -> AmalgamSpec:
@@ -272,106 +279,58 @@ def overlap_factor(spec: AmalgamSpec, grid: GridSpec) -> float:
     return total
 
 
-class _DualModel:
-    """Normalization recipe for one tensor factor.
-
-    Kinds: "l2" (plain Cauchy-Schwarz pairing), "lp" with the primal
-    exponent p (plain Hoelder pairing with the conjugate norm), "amalgam"
-    and "fourier_amalgam" (certified discrete amalgam duality, the latter
-    for functionals acting through the transform on F^(-1)-factors). The
-    dual amalgam and its overlap factor are measured on the grid of the
-    function they act on (of its transform for "fourier_amalgam").
-    """
-
-    def __init__(self, kind: str, spec=None):
-        if kind not in ("l2", "lp", "amalgam", "fourier_amalgam"):
-            raise ValueError(f"unknown dual model kind {kind!r}")
-        self.kind = kind
-        self.spec = spec
-        if kind == "lp":
-            self.q = _conjugate(float(spec))
-        elif kind != "l2":
-            if spec is None:
-                raise ValueError("amalgam dual models need a spec")
-            self.dual_spec = dual_amalgam_spec(spec)
-
-    def _measure(self, rows: np.ndarray, grid: GridSpec) -> np.ndarray:
-        """Dual norm of every row of a (B, *grid.shape) stack."""
-        if self.kind == "l2":
-            return np.array([np.linalg.norm(r.ravel()) for r in rows]) * grid.cell_volume**0.5
-        if self.kind == "lp":
-            return lp_norms(rows, grid, self.q)
-        if self.kind == "fourier_amalgam":
-            rows, grid = transform_axes(rows, grid.spacing, -1, grid.dim), grid.dual()
-        values = np.array([r.value for r in amalgam_norms(rows, grid, self.dual_spec)])
-        return values * overlap_factor(self.spec, grid)
-
-    def normalize(self, rows: np.ndarray, grid: GridSpec) -> list:
-        """Scale every row of the stack in place so the certified pairing
-        bound uses constant 1, and make the stack read-only; returns the
-        rows as functions with their reported dual norms after scaling."""
-        n = self._measure(rows, grid)
-        if np.any(n == 0.0):
-            raise ValueError("degenerate dual sample")
-        rows *= (1.0 / n).reshape((-1,) + (1,) * grid.dim)
-        return list(zip(_share_rows(grid, rows), self._measure(rows, grid).tolist()))
+def _normalize(rows: np.ndarray, grid: GridSpec, dual_norm) -> None:
+    """Scale every row of a (B, *grid.shape) stack in place to unit
+    ``dual_norm``, so the certified pairing bound uses constant 1."""
+    n = np.asarray(dual_norm(rows, grid), dtype=float)
+    if np.any(n == 0.0):
+        raise ValueError("degenerate dual sample")
+    rows *= (1.0 / n).reshape((-1,) + (1,) * grid.dim)
 
 
 def make_dual_samples(
     count: int,
     seed: int,
-    dual_model: tuple,
+    dual_norms: tuple,
     xgrid: GridSpec,
     xigrid: GridSpec,
-) -> list:
-    """Deterministic random dual functionals, unit norm in the dual model.
+) -> DualSamples:
+    """Deterministic random dual functionals of unit dual norm.
 
-    ``dual_model`` is a pair of :class:`_DualModel`-compatible descriptors:
-    the string "l2", a pair ("lp", p) or a pair ("amalgam" |
-    "fourier_amalgam", AmalgamSpec). The first entry normalizes functionals
-    on first factors (time grid), the second on second factors (frequency
-    grid). The samples are drawn one pair at a time and normalized in
-    blocks of at most ``_BLOCK_SAMPLES`` values per side; a sample's values
-    are read-only rows of its block.
+    ``dual_norms`` is a pair of stack norms ``(rows, grid) -> norms``: the
+    first normalizes the functionals on first factors (time grid), the
+    second those on second factors (frequency grid). The samples are drawn
+    one pair at a time and normalized in blocks of at most
+    ``_BLOCK_SAMPLES`` values per side.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    model_a = _as_model(dual_model[0])
-    model_b = _as_model(dual_model[1])
     rng = np.random.default_rng(seed)
+    fa = np.empty((count, *xgrid.shape), dtype=np.complex128)
+    fb = np.empty((count, *xigrid.shape), dtype=np.complex128)
     step = max(1, _BLOCK_SAMPLES // max(xgrid.size, xigrid.size))
-    out = []
     for start in range(0, count, step):
-        size = min(step, count - start)
-        raw_a = np.empty((size, *xgrid.shape), dtype=np.complex128)
-        raw_b = np.empty((size, *xigrid.shape), dtype=np.complex128)
-        for i in range(size):
-            raw_a[i] = _band_limited_values(xgrid, rng)
-            raw_b[i] = _band_limited_values(xigrid, rng)
-        pairs = zip(model_a.normalize(raw_a, xgrid), model_b.normalize(raw_b, xigrid))
-        out += [DualSample(fa, fb, na, nb) for (fa, na), (fb, nb) in pairs]
-    return out
+        stop = min(start + step, count)
+        for i in range(start, stop):
+            fa[i] = _band_limited_values(xgrid, rng)
+            fb[i] = _band_limited_values(xigrid, rng)
+        _normalize(fa[start:stop], xgrid, dual_norms[0])
+        _normalize(fb[start:stop], xigrid, dual_norms[1])
+    return DualSamples(fa, fb, xgrid, xigrid)
 
 
-def aligned_dual_sample(t: FiniteTensor, dual_model: tuple) -> DualSample:
-    """Dual pair aligned with the dominant term of the tensor (normalized in
-    the same model, hence still a certified lower-bound functional)."""
+def aligned_dual_sample(t: FiniteTensor, dual_norms: tuple) -> DualSamples:
+    """The dual pair aligned with the dominant term of the tensor,
+    normalized with the same dual norms (hence still a certified
+    lower-bound functional)."""
     if t.rank == 0:
         raise ValueError("cannot align with an empty tensor")
-    model_a = _as_model(dual_model[0])
-    model_b = _as_model(dual_model[1])
-    j = int(
-        np.argmax([abs(lam) * phi.norm2() * psi.norm2() for lam, phi, psi in t.terms])
-    )
-    _, phi, psi = t.terms[j]
-    (fa, na), = model_a.normalize(np.conj(phi.values)[None], phi.grid)
-    (fb, nb), = model_b.normalize(np.conj(psi.values)[None], psi.grid)
-    return DualSample(fa, fb, na, nb)
-
-
-def _as_model(desc) -> _DualModel:
-    if isinstance(desc, _DualModel):
-        return desc
-    if desc == "l2":
-        return _DualModel("l2")
-    return _DualModel(*desc)
+    cell_a, cell_b = t.xgrid.cell_volume**0.5, t.xigrid.cell_volume**0.5
+    j = int(np.argmax([
+        abs(c) * float(np.linalg.norm(a.ravel()) * cell_a) * float(np.linalg.norm(b.ravel()) * cell_b)
+        for c, a, b in zip(t.lam, t.phi, t.psi)
+    ]))
+    fa, fb = np.conj(t.phi[j : j + 1]), np.conj(t.psi[j : j + 1])
+    _normalize(fa, t.xgrid, dual_norms[0])
+    _normalize(fb, t.xigrid, dual_norms[1])
+    return DualSamples(fa, fb, t.xgrid, t.xigrid)

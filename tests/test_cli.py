@@ -203,6 +203,47 @@ def test_report_command_empty_dir(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["verify", "bupu", "--N", "256", "--out"],
+        ["verify", "bupu", "--N", "256", "--format", "csv", "--out"],
+        ["stft", "--input", None, "--out"],
+    ],
+)
+def test_output_into_missing_directory_is_usage_error(command, fn_file, tmp_path, capsys):
+    target = tmp_path / "missing" / "out.json"
+    argv = [fn_file if c is None else c for c in command] + [str(target)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: FileNotFoundError") and str(target) in err
+    assert not target.parent.exists()
+
+
+def test_report_missing_directory_is_usage_error(tmp_path, capsys):
+    assert main(["report", "--dir", str(tmp_path / "missing")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: FileNotFoundError") and "missing" in err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        '"theorem_id passed"',  # a JSON string
+        '["theorem_id", "passed"]',
+        "3",
+        '{"theorem_id": "thm5.1", "passed": false}',  # no location
+    ],
+)
+def test_report_skips_json_that_is_not_a_report(content, tmp_path, capsys):
+    main(["verify", "bupu", "--N", "256", "--out", str(tmp_path / "bupu.json")])
+    (tmp_path / "other.json").write_text(content)
+    capsys.readouterr()
+    assert main(["report", "--dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "bupu" in out and "thm5.1     not run" in out
+
+
 @pytest.mark.parametrize("command", [["stft", "--out", "tf.json"], ["norm", "--space", "M2,2"]])
 def test_oversized_time_frequency_array_is_usage_error(command, tmp_path, capsys, no_array_above_limit):
     path = tmp_path / "f.json"

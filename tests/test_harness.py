@@ -149,6 +149,7 @@ def test_cor61a_hypothesis_rejection():
         ("lemma3.3", {"seed": -1}, "seed must be an integer >= 0"),
         ("bupu", {"seed": 1.0}, "seed must be an integer >= 0"),
         ("thm4.2", {"seed": True}, "seed must be an integer >= 0"),
+        ("bupu", {"N": 1024.9}, "N must be an integer >= 2"),
     ],
 )
 def test_bad_seed_or_dual_count_is_config_error(suite, config, match):
